@@ -249,9 +249,6 @@ def _add_common(parser):
                         default="text")
     parser.add_argument("--out", default=None)
     parser.add_argument("--allow-heavy", action="store_true")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker pool size (runs are deterministic "
-                             "regardless)")
 
 
 def build_parser() -> argparse.ArgumentParser:

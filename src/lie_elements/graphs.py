@@ -66,7 +66,7 @@ class LabeledTree:
                 "%d edges on %d vertices" % (len(edges), self.n))
         uf = _UnionFind(range(1, self.n + 1))
         for i, j in edges:
-            if not 1 <= i <= self.n and 1 <= j <= self.n:
+            if not (1 <= i <= self.n and 1 <= j <= self.n):
                 raise StructureError("edge (%d,%d) out of range" % (i, j))
             if not uf.union(i, j):
                 raise StructureError("edge (%d,%d) closes a cycle" % (i, j))

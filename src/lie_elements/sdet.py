@@ -279,6 +279,19 @@ def _weight_product(system: EdgeSystem, weights):
 # shuffle determinants of the difference matrices of M.  The c(M) values do
 # not depend on the weights, so they are computed once per (n, r) and
 # reused across weightings.
+#
+# Full tables use the Cauchy-Binet form of c(M).  Write S_I for the r x n
+# shuffle taking row s from A if s is in I, else from B.  Cauchy-Binet
+# gives sum_J det(S_I^J) det(S_Ibar^J) = det(S_I S_Ibar^T), so
+#
+#     c(M) = sum over I of det(G_I),   G_I[s][t] = <row s of S_I,
+#                                                  row t of S_Ibar>,
+#
+# an r x r integer Gram matrix whose cost does not depend on n.  Since
+# G_Ibar is the transpose of G_I, the subsets I without row r are summed
+# and doubled.  The top_only tables (r = n-1) keep the single column
+# subset shuffle determinants, so that verify_main's top-versus-full
+# cross-check compares two independent computations.
 
 Instance = namedtuple("Instance", ["quad", "variant", "tuple4"])
 
@@ -295,6 +308,60 @@ def instances(n: int) -> List[Instance]:
         out.append(Instance(q, "T1", (i, j, k, l)))
         out.append(Instance(q, "T2", (i, k, l, j)))
     return out
+
+
+def _pair_product(p, q) -> int:
+    """<e_i - e_j, e_k - e_l> for the label pairs p = (i, j), q = (k, l)."""
+    i, j = p
+    k, l = q
+    return (i == k) - (i == l) - (j == k) + (j == l)
+
+
+def _bareiss_det(rows: List[List[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss 1968); every division is exact.  Overwrites rows."""
+    size = len(rows)
+    sign = 1
+    prev = 1
+    for k in range(size - 1):
+        if not rows[k][k]:
+            for i in range(k + 1, size):
+                if rows[i][k]:
+                    rows[k], rows[i] = rows[i], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, size):
+            row = rows[i]
+            factor = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - factor * pivot_row[j]) // prev
+        prev = pivot
+    return sign * rows[-1][-1]
+
+
+def _gram_c_value(products, multiset) -> int:
+    """c(M) = sum over row subsets I of det(G_I) for a multiset of instance
+    indices.  products[x][y] = <vector x, vector y>, where vector 2m is
+    the A pair of instance m and 2m+1 its B pair."""
+    total = 0
+    # I (bit s set: s in I) omits the last row; det(G_Ibar) = det(G_I)
+    for mask in range(1 << (len(multiset) - 1)):
+        left = []
+        right = []
+        for s, idx in enumerate(multiset):
+            a, b = 2 * idx, 2 * idx + 1
+            if mask >> s & 1:
+                left.append(products[a])
+                right.append(b)
+            else:
+                left.append(products[b])
+                right.append(a)
+        total += _bareiss_det([[row[y] for y in right] for row in left])
+    return 2 * total
 
 
 def _restricted_row(tuple4, J, first_pair: bool) -> Tuple[int, ...]:
@@ -333,61 +400,31 @@ def _int_det(rows: Tuple[Tuple[int, ...], ...], cache: Dict) -> int:
             return 0
     value = cache.get(key)
     if value is None:
-        value = _det_expand(key)
+        value = _bareiss_det([list(row) for row in key])
         cache[key] = value
     return sign * value
 
 
-def _det_expand(rows) -> int:
-    size = len(rows)
-    if size == 1:
-        return rows[0][0]
-    if size == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    # expand along the sparsest row
-    best = min(range(size), key=lambda i: sum(1 for v in rows[i] if v))
+def _top_c_value(tuple4s, n: int, cache: Dict) -> int:
+    """c(M) for r = n-1 as n times the shuffle determinant sum on the
+    single column subset {1..n-1} (all n subsets contribute equally)."""
+    r = len(tuple4s)
+    J = tuple(range(1, n))
+    a_rows = [_restricted_row(t, J, True) for t in tuple4s]
+    b_rows = [_restricted_row(t, J, False) for t in tuple4s]
+    if any(not any(a) and not any(b) for a, b in zip(a_rows, b_rows)):
+        return 0
     total = 0
-    rest = rows[:best] + rows[best + 1:]
-    row_sign = -1 if best % 2 else 1
-    for col, value in enumerate(rows[best]):
-        if not value:
+    for mask in range(2 ** r):
+        left = tuple(a_rows[s] if mask >> s & 1 else b_rows[s]
+                     for s in range(r))
+        d1 = _int_det(left, cache)
+        if not d1:
             continue
-        minor = tuple(r[:col] + r[col + 1:] for r in rest)
-        cof = -1 if col % 2 else 1
-        total += row_sign * cof * value * _det_expand(minor)
-    return total
-
-
-def _c_value(tuple4s, n: int, r: int, cache: Dict,
-             top_only: bool = False) -> int:
-    """Column-subset sum of integer shuffle determinants for a multiset of
-    4-tuples.  With top_only (valid when r = n-1) a single column subset
-    is used and the result scaled by n."""
-    if top_only:
-        col_sets = [tuple(range(1, n))]
-        scale = n
-    else:
-        col_sets = list(combinations(range(1, n + 1), r))
-        scale = 1
-    total = 0
-    for J in col_sets:
-        a_rows = [_restricted_row(t, J, True) for t in tuple4s]
-        b_rows = [_restricted_row(t, J, False) for t in tuple4s]
-        if any(not any(a) and not any(b)
-               for a, b in zip(a_rows, b_rows)):
-            continue
-        subtotal = 0
-        for mask in range(2 ** r):
-            left = tuple(a_rows[s] if mask >> s & 1 else b_rows[s]
-                         for s in range(r))
-            d1 = _int_det(left, cache)
-            if not d1:
-                continue
-            right = tuple(b_rows[s] if mask >> s & 1 else a_rows[s]
-                          for s in range(r))
-            subtotal += d1 * _int_det(right, cache)
-        total += subtotal
-    return scale * total
+        right = tuple(b_rows[s] if mask >> s & 1 else a_rows[s]
+                      for s in range(r))
+        total += d1 * _int_det(right, cache)
+    return n * total
 
 
 _MU_TABLES: Dict[Tuple[int, int], List] = {}
@@ -400,12 +437,22 @@ def mu_table(n: int, r: int, top_only: bool = False) -> List:
     the value already includes the 1/multiplicity! factors; the weighted
     sum over the list with per-instance weight products gives the
     coefficient.  Cached per (n, r, top_only).
+
+    Full tables evaluate c(M) by Cauchy-Binet as a sum of r x r integer
+    Gram determinants det(G_I) over row subsets I, where G_I holds the
+    inner products of the rows of the shuffle S_I with those of S_Ibar;
+    det(G_Ibar) = det(G_I), so half the subsets are visited and doubled.
+    With top_only (valid when r = n-1) c(M) is instead n times the shuffle
+    determinant sum on one column subset, an independent computation.
     """
     key = (n, r, top_only)
     cached = _MU_TABLES.get(key)
     if cached is not None:
         return cached
     insts = instances(n)
+    pairs = [p for inst in insts
+             for p in (inst.tuple4[:2], inst.tuple4[2:])]
+    products = [[_pair_product(p, q) for q in pairs] for p in pairs]
     det_cache: Dict = {}
     table = []
     for multiset in combinations_with_replacement(range(len(insts)), r):
@@ -414,8 +461,11 @@ def mu_table(n: int, r: int, top_only: bool = False) -> List:
             counts[idx] = counts.get(idx, 0) + 1
         if any(c > 2 for c in counts.values()):
             continue
-        tuple4s = [insts[idx].tuple4 for idx in multiset]
-        c = _c_value(tuple4s, n, r, det_cache, top_only=top_only)
+        if top_only:
+            c = _top_c_value([insts[idx].tuple4 for idx in multiset], n,
+                             det_cache)
+        else:
+            c = _gram_c_value(products, multiset)
         if c:
             denom = 1
             for count in counts.values():

@@ -29,8 +29,8 @@ from itertools import combinations
 from typing import Dict, Optional
 
 from .exactmath import ExactMatrix, MultiPoly
-from .graphs import (ThreeGraph, delta_sign, enumerate_three_trees,
-                     enumerate_trees, tree_weight)
+from .graphs import (delta_sign, enumerate_three_trees, enumerate_trees,
+                     tree_weight)
 from .group_algebra import GroupAlgebraElement
 from .lie_generators import all_kappas, eta, kappa, lie_closure, nu, \
     repeated_commutator_set
@@ -83,7 +83,7 @@ def _report(theorem, n, seed, ok, lhs, rhs, t0, **details):
         theorem=theorem, n=n, seed=seed,
         status="PASS" if ok else "FAIL",
         lhs=str(lhs), rhs=str(rhs),
-        elapsed_ms=int((time.time() - t0) * 1000),
+        elapsed_ms=int((time.perf_counter() - t0) * 1000),
         details=details)
 
 
@@ -108,7 +108,7 @@ def verify_mtt(n: int, weights: Optional[Dict] = None,
                ) -> VerificationReport:
     """det of the pair-weighted element on the zero-sum hyperplane equals
     n times the spanning-tree weight sum."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     if weights is None:
         weights = pair_weights(n, seed=seed, symbolic=symbolic)
     else:
@@ -165,7 +165,7 @@ def verify_pft(n: int, weights: Optional[Dict] = None,
     consistency across calls.  Even n: the determinant of y on the
     hyperplane vanishes.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     if weights is None:
         weights = triple_weights(n, seed=seed, symbolic=symbolic)
     else:
@@ -208,7 +208,7 @@ def verify_rank2(i: int, j: int, k: int, l: int, n: int
                  ) -> VerificationReport:
     """The eta generator acts on Q^n as the symmetrized outer product of
     the difference vectors v_i - v_j and v_l - v_k."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     lhs = action_matrix(eta(n, i, j, k, l), "permutation")
     data = [[Fraction(0)] * n for _ in range(n)]
     alpha = [Fraction(0)] * n
@@ -259,7 +259,7 @@ def verify_main(n: int, weights: Optional[Dict] = None,
     shortcut (n equal summands); it is cross-checked against the full sum
     for n <= 5.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     if weights is None:
         weights = quad_weights(n, seed=seed)
     z = element_from_quad_weights(n, weights)
@@ -290,7 +290,7 @@ def verify_iota(n: int, trials: int = 3, seed: Optional[int] = None
                 ) -> VerificationReport:
     """Random combinations of the degree-n Lie space basis stay Lie after
     the embedding into degree n+1."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed)
     space = lie_space(n)
     ok = True
@@ -320,7 +320,7 @@ def conjecture_report(n: int, results_dir: Optional[str] = None
     repeated-commutator family modulo K_n.  Only closure <= space is a
     hard assertion; everything else is informational (status REPORT).
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     space = lie_space(n)
     closure = lie_closure(all_kappas(n), n)
     dim_l, dim_k = kernel_dim(n)
@@ -340,14 +340,14 @@ def conjecture_report(n: int, results_dir: Optional[str] = None
     report = VerificationReport(
         theorem="generation conjectures", n=n, seed=None, status=status,
         lhs=json.dumps(data, sort_keys=True), rhs="",
-        elapsed_ms=int((time.time() - t0) * 1000), details=data)
+        elapsed_ms=int((time.perf_counter() - t0) * 1000), details=data)
     if results_dir:
         _check_golden(report, results_dir)
     return report
 
 
 def _span_contains(basis, elements) -> bool:
-    from .lie_generators import element_vector, span_rank
+    from .lie_generators import span_rank
     if not elements:
         return True
     base = span_rank(basis)

@@ -36,6 +36,11 @@ class TestTrees:
         with pytest.raises(StructureError):
             LabeledTree(4, ((1, 2),))
 
+    def test_out_of_range_edge_rejected(self):
+        for edge in ((1, 5), (0, 4), (0, 2)):
+            with pytest.raises(StructureError):
+                LabeledTree(3, ((1, 2), edge))
+
 
 class TestTreeWeight:
     def test_unit_weights(self):

@@ -1,7 +1,7 @@
 import random
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -9,7 +9,7 @@ from lie_elements.exactmath import (DimensionError, ExactMatrix, MultiPoly,
                                     StructureError)
 from lie_elements.sdet import (EdgeSystem, ResourceLimitError, build_AB,
                                instances, monomial_coefficient,
-                               mu_from_weights, phi, phi_top, sdet,
+                               mu_from_weights, mu_table, phi, phi_top, sdet,
                                sdet_identity_formula, sdet_via_coeff,
                                shuffle)
 
@@ -205,3 +205,32 @@ class TestMuTables:
         assert mu_from_weights(4, 1, weight) == 0
         assert mu_from_weights(4, 2, weight) == -4
         assert mu_from_weights(4, 3, weight) == 0
+
+    def _candidates(self, n, r):
+        """Size-r multisets of instance indices, multiplicities at most 2."""
+        return [m for m in combinations_with_replacement(
+            range(len(instances(n))), r) if all(m.count(i) <= 2 for i in m)]
+
+    def _check_against_phi(self, n, r, multisets):
+        # the Gram-kernel table against the Fraction column-subset sum
+        insts = instances(n)
+        table = dict(mu_table(n, r))
+        for m in multisets:
+            c = table.get(m, 0) * 2 ** sum(m.count(i) == 2 for i in set(m))
+            tuples = tuple(insts[i].tuple4 for i in m)
+            assert c == phi(EdgeSystem(n, tuples))
+
+    def test_full_table_matches_phi_exhaustive(self):
+        for n in (4, 5):
+            for r in (1, 2, 3):
+                self._check_against_phi(n, r, self._candidates(n, r))
+
+    def test_full_table_matches_phi_sampled(self):
+        rng = random.Random(10)
+        for n, r in ((5, 4), (6, 3)):
+            sample = rng.sample(self._candidates(n, r), 60)
+            self._check_against_phi(n, r, sample)
+
+    def test_top_table_matches_full(self):
+        for n in (4, 5):
+            assert mu_table(n, n - 1, top_only=True) == mu_table(n, n - 1)
