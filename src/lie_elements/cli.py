@@ -17,58 +17,90 @@ import sys
 
 from fractions import Fraction
 from itertools import permutations as iter_permutations
+from typing import Optional
 
 from . import graphs, sdet as sdet_mod, verify as verify_mod, wedge_rep
-from .exactmath import ExactMatrix, rational
+from .exactmath import DimensionError, ExactMatrix, ResourceLimitError, \
+    rational
 from .group_algebra import GroupAlgebraElement
 from .lie_generators import all_kappas, lie_closure
 from .perm import Permutation
 
-RESOURCE_ERRORS = (graphs.ResourceLimitError, sdet_mod.ResourceLimitError,
-                   wedge_rep.ResourceLimitError)
+
+class InputError(ValueError):
+    """A command-line value or an input file is malformed (exit code 2)."""
 
 
-class WeightConflictError(ValueError):
+class WeightConflictError(InputError):
     """Two entries of a weight file disagree after symmetry closure."""
 
 
-def load_weights(path: str):
+def _rational(value, where):
+    try:
+        return rational(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InputError("%s: %r is not a rational" % (where, value)) \
+            from None
+
+
+def _weight_rows(raw, section, labels, values, n):
+    """Rows of one weight-file section as tuples: `labels` distinct integer
+    labels (in 1..n when n is given), then `values` rational weights."""
+    rows = raw.get(section, [])
+    if not isinstance(rows, list):
+        raise InputError("weights: %r is not a list" % section)
+    out = []
+    for row in rows:
+        if not isinstance(row, list) or len(row) != labels + values:
+            raise InputError("weights: %s entry %r needs %d labels and %d "
+                             "weight(s)" % (section, row, labels, values))
+        idx = row[:labels]
+        if len(set(idx)) < labels or any(
+                type(i) is not int or i < 1 or (n and i > n) for i in idx):
+            raise InputError("weights: %s entry %r needs distinct labels "
+                             "in 1..%s" % (section, row, n or "n"))
+        out.append(tuple(idx) + tuple(_rational(w, "weights")
+                                      for w in row[labels:]))
+    return out
+
+
+def load_weights(path: str, n: Optional[int] = None):
     """Weight tables from JSON with symmetry closure applied.
 
     Schema: {"pairs": [[i, j, "w"]], "triples": [[i, j, k, "w"]],
     "quads": [[i, j, k, l, "w1", "w2"]]}.  Pair weights are symmetric;
     triple weights change sign under odd index permutations and are stored
     on ascending triples; quad weights are stored per ascending 4-subset
-    as the pair (w1, w2) for the two generator variants.
+    as the pair (w1, w2) for the two generator variants.  Labels must lie
+    in 1..n when n is given.
     """
     with open(path) as handle:
         raw = json.load(handle)
+    if not isinstance(raw, dict):
+        raise InputError("weights: %s does not hold a JSON object" % path)
     pairs = {}
-    for i, j, w in raw.get("pairs", ()):
+    for i, j, value in _weight_rows(raw, "pairs", 2, 1, n):
         key = tuple(sorted((i, j)))
-        value = rational(w)
         if key in pairs and pairs[key] != value:
             raise WeightConflictError("pair %r given twice" % (key,))
         pairs[key] = value
     triples = {}
-    for i, j, k, w in raw.get("triples", ()):
+    for i, j, k, w in _weight_rows(raw, "triples", 3, 1, n):
         key = tuple(sorted((i, j, k)))
-        sign = Permutation(_relabel((i, j, k))).sign()
-        value = rational(w) * sign
+        value = w * Permutation(_relabel((i, j, k))).sign()
         if key in triples and triples[key] != value:
             raise WeightConflictError("triple %r given inconsistently"
                                       % (key,))
         triples[key] = value
     quads = {}
-    for i, j, k, l, w1, w2 in raw.get("quads", ()):
+    for i, j, k, l, w1, w2 in _weight_rows(raw, "quads", 4, 2, n):
         key = tuple(sorted((i, j, k, l)))
         if (i, j, k, l) != key:
             raise WeightConflictError(
                 "quad %r must be given in ascending order" % ((i, j, k, l),))
-        value = (rational(w1), rational(w2))
-        if key in quads and quads[key] != value:
+        if key in quads and quads[key] != (w1, w2):
             raise WeightConflictError("quad %r given twice" % (key,))
-        quads[key] = value
+        quads[key] = (w1, w2)
     return {"pairs": pairs, "triples": triples, "quads": quads}
 
 
@@ -127,7 +159,7 @@ def _report_records(reports):
 def _run_verify(args) -> int:
     reports = []
     seeds = [args.seed + t for t in range(args.trials)]
-    tables = load_weights(args.weights) if args.weights else None
+    tables = load_weights(args.weights, args.n) if args.weights else None
     for seed in seeds:
         if args.target == "mtt":
             weights = tables["pairs"] if tables else None
@@ -188,9 +220,21 @@ def _run_conjectures(args) -> int:
 # -- sdet ----------------------------------------------------------------
 
 
-def _read_matrix(text) -> ExactMatrix:
+def _read_matrix(text, flag) -> ExactMatrix:
+    """A square matrix of rationals from a JSON array of rows."""
     data = json.loads(text)
-    return ExactMatrix([[rational(v) for v in row] for row in data])
+    if not isinstance(data, list) or not all(isinstance(row, list)
+                                             for row in data):
+        raise InputError("%s: expected a JSON array of rows" % flag)
+    try:
+        matrix = ExactMatrix([[_rational(v, flag) for v in row]
+                              for row in data])
+    except DimensionError as exc:
+        raise InputError("%s: %s" % (flag, exc)) from None
+    if not matrix.is_square():
+        raise InputError("%s: %d x %d matrix is not square"
+                         % ((flag,) + matrix.shape))
+    return matrix
 
 
 def _run_sdet(args) -> int:
@@ -202,8 +246,10 @@ def _run_sdet(args) -> int:
                 "cycles": [list(c) for c in result.cycles]}],
               args.format, args.out)
         return 0
-    A = _read_matrix(args.matrix_a)
-    B = _read_matrix(args.matrix_b)
+    A = _read_matrix(args.matrix_a, "--matrix-a")
+    B = _read_matrix(args.matrix_b, "--matrix-b")
+    if A.shape != B.shape:
+        raise InputError("--matrix-a and --matrix-b differ in size")
     if args.target == "symbolic":
         value = sdet_mod.sdet_via_coeff(A, B)
     else:
@@ -305,31 +351,47 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _validate(args, parser)
+        _validate(args)
         return args.func(args)
-    except RESOURCE_ERRORS as exc:
+    except ResourceLimitError as exc:
         sys.stderr.write("resource bound exceeded: %s\n" % exc)
         return 3
-    except (WeightConflictError, json.JSONDecodeError, OSError) as exc:
+    except (InputError, json.JSONDecodeError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 
 
-def _validate(args, parser):
+def _least_values(args):
+    """Smallest accepted value of each integer option of the command."""
+    if args.command == "verify":
+        return {"n": 2 if args.target == "pft" else 1, "trials": 1}
+    if args.command == "conjectures":
+        return {"n": 2}
+    if args.command == "enumerate":
+        return {"n": 4 if args.target == "4graphs" else 1, "m": 1, "r": 1}
+    return {"n": 1}
+
+
+def _validate(args):
     if args.command == "sdet":
         if args.target == "coeff-graph" and not args.edges:
-            parser.error("coeff-graph needs --edges")
+            raise InputError("coeff-graph needs --edges")
         if args.target != "coeff-graph" and not (args.matrix_a
                                                  and args.matrix_b):
-            parser.error("sdet %s needs --matrix-a and --matrix-b"
-                         % args.target)
+            raise InputError("sdet %s needs --matrix-a and --matrix-b"
+                             % args.target)
     if args.command == "enumerate":
         if args.target == "trees" and args.n is None:
-            parser.error("enumerate trees needs --n")
+            raise InputError("enumerate trees needs --n")
         if args.target == "3trees" and args.m is None:
-            parser.error("enumerate 3trees needs --m")
+            raise InputError("enumerate 3trees needs --m")
         if args.target == "4graphs" and (args.n is None or args.r is None):
-            parser.error("enumerate 4graphs needs --n and --r")
+            raise InputError("enumerate 4graphs needs --n and --r")
+    for flag, least in _least_values(args).items():
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            raise InputError("--%s must be at least %d, got %d"
+                             % (flag, least, value))
 
 
 if __name__ == "__main__":

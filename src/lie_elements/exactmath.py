@@ -1,5 +1,6 @@
 """Exact arithmetic kernels: rationals, sparse multivariate polynomials and
-dense matrices over either, with determinant / charpoly / Pfaffian / nullspace.
+dense matrices over either, with determinant / charpoly / Pfaffian / nullspace,
+and the integer elimination kernel behind rref.
 
 No floating point anywhere; every operation is exact over Q or Q[w, x, ...].
 """
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
+from math import gcd, lcm
 from typing import Iterable, Union
 
 
@@ -317,6 +319,10 @@ class StructureError(ValueError):
     """Matrix lacks required structure (e.g. not skew-symmetric)."""
 
 
+class ResourceLimitError(RuntimeError):
+    """Requested size exceeds the configured bound."""
+
+
 class ExactMatrix:
     """Dense matrix over Fraction or MultiPoly entries."""
 
@@ -485,35 +491,21 @@ class ExactMatrix:
     def rref(self):
         """Reduced row echelon form (over rationals).
 
-        Returns (matrix-as-lists, pivot column list)."""
-        m = [row[:] for row in self.data]
-        pivots = []
-        r = 0
-        for col in range(self.cols):
-            pivot = None
-            for i in range(r, self.rows):
-                if m[i][col]:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            inv = Fraction(1) / m[r][col]
-            m[r] = [v * inv for v in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][col]:
-                    factor = m[i][col]
-                    m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-            pivots.append(col)
-            r += 1
-            if r == self.rows:
-                break
-        return m, pivots
+        Returns (matrix-as-lists, pivot column list); the rows after the
+        rank are zero.  Computed by the integer elimination kernel below,
+        so no Fraction arithmetic happens before the final division."""
+        if not self._is_rational():
+            raise StructureError("rref is implemented over rationals only")
+        echelon = _forward_pass([_integer_row(row) for row in self.data],
+                                self.cols)
+        pivots = sorted(echelon)
+        reduced = _reduced_rows(echelon, self.cols)
+        reduced.extend([Fraction(0)] * self.cols
+                       for _ in range(self.rows - len(pivots)))
+        return reduced, pivots
 
     def rank(self) -> int:
-        if self._is_rational():
-            return len(self.rref()[1])
-        raise StructureError("rank is implemented over rationals only")
+        return len(self.rref()[1])
 
     def nullspace(self):
         """Exact basis of the right kernel; empty iff full column rank."""
@@ -593,17 +585,90 @@ class ExactMatrix:
         return acc
 
 
-def nullspace(matrix: ExactMatrix):
-    return matrix.nullspace()
+# -- integer elimination kernel -------------------------------------------
+#
+# Rows are sparse primitive integer rows {col: int}.  A row of rationals is
+# scaled by the lcm of its denominators and divided by the gcd of its
+# numerators, which leaves its row space unchanged.  Every elimination step
+# is fraction-free (Bareiss 1968): an integer combination of two rows,
+# divided by its content.  The pivots are divided out once, at the end.
 
 
-def det(matrix: ExactMatrix):
-    return matrix.det()
+def _primitive(row):
+    """The integer row divided by the gcd of its entries."""
+    content = gcd(*row.values())
+    if content == 1:
+        return row
+    return {c: v // content for c, v in row.items()}
 
 
-def charpoly(matrix: ExactMatrix):
-    return matrix.charpoly()
+def _integer_row(values):
+    """Primitive integer row with the row space of the rational `values`;
+    {} for a zero row."""
+    row = {c: v for c, v in enumerate(values) if v}
+    if not row:
+        return row
+    den = lcm(*(v.denominator for v in row.values()))
+    return _primitive({c: v.numerator * (den // v.denominator)
+                       for c, v in row.items()})
 
 
-def pfaffian(matrix: ExactMatrix):
-    return matrix.pfaffian()
+def _eliminate(row, pivot_row, col):
+    """Primitive integer combination of `row` and `pivot_row` that clears
+    column `col`, the pivot of `pivot_row`; {} if it vanishes."""
+    g = gcd(pivot_row[col], row[col])
+    if pivot_row[col] < 0:
+        g = -g      # p > 0, so a unit pivot leaves `row` unscaled
+    p, a = pivot_row[col] // g, row[col] // g
+    out = dict(row) if p == 1 else {c: v * p for c, v in row.items()}
+    for c, v in pivot_row.items():
+        new = out.get(c, 0) - a * v
+        if new:
+            out[c] = new
+        else:
+            del out[c]
+    return _primitive(out) if out else out
+
+
+def _forward_pass(rows, ncols):
+    """Echelon form of the integer rows as {pivot col: row}; each row is
+    zero left of its pivot.  Column by column, the sparsest row with an
+    entry in the column becomes its pivot and clears it from the rest."""
+    active = [row for row in rows if row]
+    echelon = {}
+    for col in range(ncols):
+        if not active:
+            break
+        hits = [row for row in active if col in row]
+        if not hits:
+            continue
+        pivot_row = min(hits, key=len)
+        echelon[col] = pivot_row
+        active = [row for row in active if col not in row]
+        for row in hits:
+            if row is not pivot_row:
+                row = _eliminate(row, pivot_row, col)
+                if row:
+                    active.append(row)
+    return echelon
+
+
+def _reduced_rows(echelon, ncols):
+    """Back substitution in integers: the dense Fraction rows of the
+    reduced echelon form of {pivot col: row}, in pivot order."""
+    done = {}
+    for col in sorted(echelon, reverse=True):
+        row = echelon[col]
+        for c in [c for c in row if c != col and c in done]:
+            row = _eliminate(row, done[c], c)
+        done[col] = row
+    zero = Fraction(0)
+    out = []
+    for col in sorted(done):
+        row = done[col]
+        pivot = row[col]
+        dense = [zero] * ncols
+        for c, v in row.items():
+            dense[c] = Fraction(v, pivot)
+        out.append(dense)
+    return out

@@ -15,12 +15,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Iterator, List, Sequence, Tuple
 
-from .exactmath import StructureError
+from .exactmath import ResourceLimitError, StructureError
 from .perm import Permutation
-
-
-class ResourceLimitError(RuntimeError):
-    """Enumeration size exceeds the configured bound."""
 
 
 class NotAThreeTreeError(ValueError):

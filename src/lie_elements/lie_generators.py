@@ -11,15 +11,16 @@ reports.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as index_permutations
 from typing import List, Sequence, Tuple
 
-from .exactmath import ExactMatrix
+from .exactmath import (ExactMatrix, ResourceLimitError, _eliminate,
+                        _integer_row, _reduced_rows)
 from .group_algebra import GroupAlgebraElement
 from .perm import Permutation, all_permutations
-from .wedge_rep import ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -77,42 +78,31 @@ def span_rank(elements: Sequence[GroupAlgebraElement]) -> int:
 
 
 class _Echelon:
-    """Incremental reduced echelon basis over permutation coordinates."""
+    """Incremental echelon basis over permutation coordinates, kept as
+    primitive integer rows keyed by pivot (the kernel of ExactMatrix.rref);
+    elements() is the reduced echelon basis of the span."""
 
     def __init__(self, n: int):
         self.perms = all_permutations(n)
-        self.rows = []    # (pivot index, vector) sorted by pivot
-
-    def reduce(self, vec):
-        vec = list(vec)
-        for pivot, row in self.rows:
-            if vec[pivot]:
-                factor = vec[pivot]
-                vec = [a - factor * b for a, b in zip(vec, row)]
-        return vec
+        self.rows = {}      # pivot index -> integer row
+        self.pivots = []    # ascending
 
     def insert(self, vec) -> bool:
         """Reduce and insert; True if the vector enlarged the span."""
-        vec = self.reduce(vec)
-        pivot = next((i for i, v in enumerate(vec) if v), None)
-        if pivot is None:
+        row = _integer_row(vec)
+        for pivot in self.pivots:
+            if pivot in row:
+                row = _eliminate(row, self.rows[pivot], pivot)
+        if not row:
             return False
-        inv = Fraction(1) / vec[pivot]
-        vec = [v * inv for v in vec]
-        for _, row in self.rows:
-            if row[pivot]:
-                factor = row[pivot]
-                row[:] = [a - factor * b for a, b in zip(row, vec)]
-        self.rows.append((pivot, vec))
-        self.rows.sort(key=lambda item: item[0])
+        pivot = min(row)
+        self.rows[pivot] = row
+        insort(self.pivots, pivot)
         return True
-
-    def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
 
     def elements(self, n):
         out = []
-        for _, row in self.rows:
+        for row in _reduced_rows(self.rows, len(self.perms)):
             terms = {self.perms[i]: c for i, c in enumerate(row) if c}
             out.append(GroupAlgebraElement(n, terms))
         return out

@@ -19,11 +19,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Dict, List, Sequence, Tuple
 
-from .exactmath import DimensionError, ExactMatrix, MultiPoly, StructureError
-
-
-class ResourceLimitError(RuntimeError):
-    """Requested size exceeds the configured bound."""
+from .exactmath import (DimensionError, ExactMatrix, MultiPoly,
+                        ResourceLimitError, StructureError)
 
 
 SDET_BOUND = 10          # 2^n shuffle pairs

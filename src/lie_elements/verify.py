@@ -35,7 +35,8 @@ from .group_algebra import GroupAlgebraElement
 from .lie_generators import all_kappas, eta, kappa, lie_closure, nu, \
     repeated_commutator_set
 from .sdet import instances, mu_from_weights
-from .wedge_rep import action_matrix, is_lie, kernel_dim, lie_space
+from .wedge_rep import (action_matrix, action_rank, is_lie, kernel_dim,
+                        lie_space)
 
 
 @dataclass
@@ -323,10 +324,10 @@ def conjecture_report(n: int, results_dir: Optional[str] = None
     t0 = time.perf_counter()
     space = lie_space(n)
     closure = lie_closure(all_kappas(n), n)
-    dim_l, dim_k = kernel_dim(n)
+    dim_l, dim_k = kernel_dim(n, space=space)
     contained = _span_contains(space.basis, closure)
     commutators = repeated_commutator_set(n)
-    comm_rank = _action_rank(commutators) if commutators else 0
+    comm_rank = action_rank(commutators)
     data = {
         "dim_lie_space": space.dim,
         "dim_kappa_closure": len(closure),
@@ -354,15 +355,6 @@ def _span_contains(basis, elements) -> bool:
     return span_rank(list(basis) + list(elements)) == base
 
 
-def _action_rank(elements) -> int:
-    rows = []
-    for x in elements:
-        mat = action_matrix(x, "permutation")
-        rows.append([mat.data[i][j]
-                     for i in range(x.n) for j in range(x.n)])
-    return ExactMatrix(rows).rank()
-
-
 def _check_golden(report: VerificationReport, results_dir: str):
     """Persist the first run's numbers and compare later runs to them."""
     os.makedirs(results_dir, exist_ok=True)
@@ -376,5 +368,13 @@ def _check_golden(report: VerificationReport, results_dir: str):
             report.status = "FAIL"
             report.rhs = json.dumps(golden, sort_keys=True)
     else:
-        with open(path, "w") as handle:
-            json.dump(report.details, handle, sort_keys=True, indent=2)
+        # write beside the golden and rename, so an interrupted write never
+        # leaves a partial golden behind
+        tmp = "%s.%d.tmp" % (path, os.getpid())
+        try:
+            with open(tmp, "w") as handle:
+                json.dump(report.details, handle, sort_keys=True, indent=2)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)

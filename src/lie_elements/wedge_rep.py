@@ -12,15 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import List
+from typing import List, Optional
 
-from .exactmath import ExactMatrix
+from .exactmath import ExactMatrix, ResourceLimitError
 from .group_algebra import GroupAlgebraElement
 from .perm import all_permutations
-
-
-class ResourceLimitError(RuntimeError):
-    """Requested degree exceeds the configured bound."""
 
 
 DEFAULT_SOLVER_BOUND = 6
@@ -196,15 +192,21 @@ def action_matrix(x: GroupAlgebraElement, representation: str = "permutation"
     raise ValueError("unknown representation %r" % representation)
 
 
-def kernel_dim(n: int, max_n: int = DEFAULT_SOLVER_BOUND):
-    """(dim of the Lie space, dim of its subspace acting by zero on Q^n)."""
-    space = lie_space(n, max_n=max_n)
-    if not space.basis:
-        return 0, 0
+def action_rank(elements) -> int:
+    """Rank of the permutation actions of the elements on Q^n, each n x n
+    matrix flattened into one row."""
     rows = []
-    for element in space.basis:
-        mat = action_matrix(element, "permutation")
-        rows.append([mat.data[i][j] for i in range(n) for j in range(n)])
-    action_map = ExactMatrix(rows)
-    dim_k = space.dim - action_map.rank()
-    return space.dim, dim_k
+    for x in elements:
+        mat = action_matrix(x, "permutation")
+        rows.append([v for row in mat.data for v in row])
+    return ExactMatrix(rows).rank()
+
+
+def kernel_dim(n: int, max_n: int = DEFAULT_SOLVER_BOUND,
+               space: Optional[LieSpaceResult] = None):
+    """(dim of the Lie space, dim of its subspace acting by zero on Q^n).
+
+    `space` is lie_space(n) when the caller has already solved for it."""
+    if space is None:
+        space = lie_space(n, max_n=max_n)
+    return space.dim, space.dim - action_rank(space.basis)

@@ -145,3 +145,82 @@ class TestWeightFiles:
         code, out = run(capsys, "verify", "pft", "--n", "3", "--weights",
                         str(path))
         assert code == 0 and "status=PASS" in out
+
+
+def run_error(capsys, *argv):
+    """Exit code and stderr of a call that must fail on its input."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+class TestBadInput:
+    """Malformed input exits 2 with one line on stderr, never with a
+    traceback and exit 1 (which means a verification failed)."""
+
+    def assert_input_error(self, capsys, *argv):
+        code, err = run_error(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_bad_rational(self, capsys):
+        self.assert_input_error(capsys, "sdet", "eval", "--matrix-a",
+                                '[["x"]]', "--matrix-b", '[["1"]]')
+
+    def test_ragged_matrix(self, capsys):
+        self.assert_input_error(capsys, "sdet", "eval", "--matrix-a",
+                                '[["1","2"],["3"]]', "--matrix-b",
+                                '[["1","0"],["0","1"]]')
+
+    def test_non_square_matrix(self, capsys):
+        self.assert_input_error(capsys, "sdet", "symbolic", "--matrix-a",
+                                '[["1","2"]]', "--matrix-b", '[["1","2"]]')
+
+    def test_mismatched_sizes(self, capsys):
+        self.assert_input_error(capsys, "sdet", "eval", "--matrix-a",
+                                '[["1","2"],["3","4"]]', "--matrix-b",
+                                '[["1"]]')
+
+    def test_matrix_not_rows(self, capsys):
+        self.assert_input_error(capsys, "sdet", "eval", "--matrix-a", "5",
+                                "--matrix-b", '[["1"]]')
+
+    def test_verify_mtt_n0(self, capsys):
+        self.assert_input_error(capsys, "verify", "mtt", "--n", "0")
+
+    def test_enumerate_trees_n0(self, capsys):
+        self.assert_input_error(capsys, "enumerate", "trees", "--n", "0")
+
+    def test_lie_dim_n0(self, capsys):
+        self.assert_input_error(capsys, "lie", "dim", "--n", "0")
+
+    def test_conjectures_n1(self, capsys):
+        self.assert_input_error(capsys, "conjectures", "--n", "1")
+
+    def test_missing_matrix(self, capsys):
+        self.assert_input_error(capsys, "sdet", "eval", "--matrix-a",
+                                '[["1"]]')
+
+    @pytest.mark.parametrize("raw", [
+        {"pairs": [[1, 2]]},
+        {"pairs": [[1, 2, "1", "2"]]},
+        {"triples": [[1, 2, "1"]]},
+        {"pairs": [[1, 2, "x"]]},
+        {"pairs": [[1, 1, "1"]]},
+        {"pairs": [[1, 9, "1"]]},
+        {"pairs": 3},
+        [],
+    ])
+    def test_bad_weight_file(self, tmp_path, capsys, raw):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(raw))
+        self.assert_input_error(capsys, "verify", "mtt", "--n", "3",
+                                "--weights", str(path))
+
+    def test_weight_row_arity_raises_input_error(self, tmp_path):
+        from lie_elements.cli import InputError
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"quads": [[1, 2, 3, 4, "1"]]}))
+        with pytest.raises(InputError):
+            load_weights(str(path))

@@ -1,11 +1,16 @@
 import random
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from lie_elements.exactmath import (DimensionError, ExactMatrix, MultiPoly,
-                                    coeff_at, rational)
+                                    StructureError, _eliminate,
+                                    _forward_pass, _integer_row, coeff_at,
+                                    rational)
 
 
 def rand_matrix(n, rng, lo=-9, hi=9):
@@ -181,3 +186,144 @@ class TestExactMatrix:
         rng = random.Random(2)
         m = rand_matrix(3, rng)
         assert m @ ExactMatrix.identity(3) == m
+
+
+# -- the integer elimination kernel behind rref ---------------------------
+
+def dense_rref(data, cols):
+    """Dense Fraction Gauss-Jordan: the rref the integer kernel replaced,
+    kept here as its oracle."""
+    m = [[Fraction(v) for v in row] for row in data]
+    rows = len(m)
+    pivots = []
+    r = 0
+    for col in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = Fraction(1) / m[r][col]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(rows):
+            if i != r and m[i][col]:
+                factor = m[i][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def random_rows(rng, rows, cols, rank, dens=(1,)):
+    """rows x cols rational matrix of rank <= rank, built as random
+    combinations of `rank` sparse random rows with denominators from
+    dens; entries and pivots of both signs."""
+    def entry():
+        if rng.random() < 0.5:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.choice(dens))
+    base = [[entry() for _ in range(cols)] for _ in range(rank)]
+    out = []
+    for _ in range(rows):
+        coeffs = [Fraction(rng.randint(-3, 3), rng.choice(dens))
+                  for _ in range(rank)]
+        out.append([sum((c * b[j] for c, b in zip(coeffs, base)),
+                        Fraction(0)) for j in range(cols)])
+    return out
+
+
+class TestRrefKernel:
+    def check(self, data, cols):
+        assert ExactMatrix(data).rref() == dense_rref(data, cols)
+
+    def test_random_against_dense_oracle(self):
+        rng = random.Random(97)
+        shapes = [(1, 1), (3, 3), (6, 4), (4, 7), (9, 5), (5, 12), (12, 12),
+                  (20, 8), (8, 20)]
+        for rows, cols in shapes:
+            for rank in sorted({0, 1, min(rows, cols) // 2,
+                                min(rows, cols)}):
+                for dens in ((1,), (1, 2, 3, 7), (4, 9, 25)):
+                    self.check(random_rows(rng, rows, cols, rank, dens), cols)
+
+    def test_zero_and_duplicate_rows(self):
+        rng = random.Random(3)
+        for _ in range(20):
+            data = random_rows(rng, 4, 6, 3, (1, 5))
+            data = [data[0], [Fraction(0)] * 6, data[1], data[0],
+                    [-v for v in data[1]], data[2], [Fraction(0)] * 6]
+            self.check(data, 6)
+
+    def test_negative_pivots(self):
+        data = [[-2, 4, -6], [0, -3, 9], [-4, 5, 1]]
+        self.check(data, 3)
+        reduced, pivots = ExactMatrix(data).rref()
+        assert pivots == [0, 1, 2]
+        assert reduced == ExactMatrix.identity(3).data
+
+    def test_empty_shapes(self):
+        # 0 x k cannot be built (no rows means no columns); k x 0 can
+        assert ExactMatrix([]).rref() == ([], [])
+        assert ExactMatrix([[], [], []]).rref() == ([[], [], []], [])
+        assert ExactMatrix([[], []]).nullspace() == []
+        assert ExactMatrix([[0, 0, 0]]).rref() == ([[0, 0, 0]], [])
+        assert ExactMatrix([[0, 0, 0]]).nullspace() == \
+            ExactMatrix.identity(3).data
+
+    def test_trailing_zero_rows(self):
+        reduced, pivots = ExactMatrix(
+            [[1, 2], [2, 4], [3, 6], [0, 0]]).rref()
+        assert pivots == [0]
+        assert reduced == [[1, 2], [0, 0], [0, 0], [0, 0]]
+
+    def test_integer_rows_stay_primitive(self):
+        # the content division keeps every row's gcd at 1, so the integers
+        # stay as small as the row space allows
+        assert _integer_row([Fraction(2, 3), Fraction(-4, 3), Fraction(0),
+                             Fraction(8, 9)]) == {0: 3, 1: -6, 3: 4}
+        assert _integer_row([Fraction(0), Fraction(0)]) == {}
+        assert _eliminate({0: 9, 1: 3, 2: 12}, {0: 6, 2: 4}, 0) == \
+            {1: 1, 2: 2}
+        rng = random.Random(41)
+        for _ in range(30):
+            data = random_rows(rng, 8, 6, 4, (1, 2, 3, 5))
+            echelon = _forward_pass([_integer_row(r) for r in data], 6)
+            for col, row in echelon.items():
+                assert gcd(*row.values()) == 1
+                assert min(row) == col
+
+    def test_polynomial_entries_rejected(self):
+        x = MultiPoly.variable("x")
+        with pytest.raises(StructureError):
+            ExactMatrix([[x, 1], [1, 0]]).rref()
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def rational_matrices(draw):
+    rows = draw(st.integers(1, 7))
+    cols = draw(st.integers(1, 7))
+    # sparse, and with repeated rows, so rank deficiency is common
+    cell = st.one_of(st.just(Fraction(0)), rationals)
+    data = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols),
+                         min_size=1, max_size=rows))
+    extra = draw(st.lists(st.sampled_from(data), max_size=2))
+    return data + extra
+
+
+class TestRrefProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(rational_matrices())
+    def test_kernel_invariants(self, data):
+        m = ExactMatrix(data)
+        kernel = m.nullspace()
+        for vec in kernel:
+            assert all(sum((a * b for a, b in zip(row, vec)), Fraction(0))
+                       == 0 for row in m.data)
+        assert m.rank() + len(kernel) == m.cols
+        reduced, pivots = m.rref()
+        assert ExactMatrix(reduced).rref() == (reduced, pivots)
+        assert (reduced, pivots) == dense_rref(data, m.cols)

@@ -1,16 +1,20 @@
 import random
 
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
+from lie_elements import lie_generators
+from lie_elements.exactmath import ExactMatrix
 from lie_elements.group_algebra import GroupAlgebraElement
-from lie_elements.lie_generators import (GeneratorId, all_kappas, eta, kappa,
+from lie_elements.lie_generators import (GeneratorId, all_kappas,
+                                         element_vector, eta, kappa,
                                          lie_closure, nu,
                                          no_invariant_line,
                                          repeated_commutator_set, span_dims,
                                          span_rank, verify_relations)
-from lie_elements.perm import Permutation
+from lie_elements.perm import Permutation, all_permutations
 from lie_elements.wedge_rep import is_lie, lie_space
 
 
@@ -121,3 +125,69 @@ class TestRepeatedCommutators:
     def test_members_are_lie(self):
         for x in repeated_commutator_set(4):
             assert is_lie(x)
+
+
+class FractionEchelon:
+    """The dense Fraction echelon lie_closure used before the integer
+    kernel, kept as its oracle: a reduced echelon basis maintained on every
+    insert."""
+
+    def __init__(self, n):
+        self.perms = all_permutations(n)
+        self.rows = []
+
+    def insert(self, vec):
+        vec = list(vec)
+        for pivot, row in self.rows:
+            if vec[pivot]:
+                factor = vec[pivot]
+                vec = [a - factor * b for a, b in zip(vec, row)]
+        pivot = next((i for i, v in enumerate(vec) if v), None)
+        if pivot is None:
+            return False
+        inv = Fraction(1) / vec[pivot]
+        vec = [v * inv for v in vec]
+        for _, row in self.rows:
+            if row[pivot]:
+                factor = row[pivot]
+                row[:] = [a - factor * b for a, b in zip(row, vec)]
+        self.rows.append((pivot, vec))
+        self.rows.sort(key=lambda item: item[0])
+        return True
+
+    def elements(self, n):
+        return [GroupAlgebraElement(
+                    n, {self.perms[i]: c for i, c in enumerate(row) if c})
+                for _, row in self.rows]
+
+
+class TestClosureKernel:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_closure_matches_fraction_echelon(self, n, monkeypatch):
+        closure = lie_closure(all_kappas(n), n)
+        monkeypatch.setattr(lie_generators, "_Echelon", FractionEchelon)
+        expected = lie_closure(all_kappas(n), n)
+        assert [x.to_json() for x in closure] == \
+            [x.to_json() for x in expected]
+
+    def test_echelon_matches_rref(self):
+        # sparse random vectors, many dependent: the incremental echelon
+        # grows exactly when the rank does and ends at the rref of them all
+        rng = random.Random(8)
+        n = 3
+        echelon = lie_generators._Echelon(n)
+        vectors = []
+        for _ in range(15):
+            vec = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                   if rng.random() < 0.35 else Fraction(0)
+                   for _ in range(6)]
+            before = len(ExactMatrix(vectors).rref()[1]) if vectors else 0
+            vectors.append(vec)
+            grew = len(ExactMatrix(vectors).rref()[1]) > before
+            assert echelon.insert(vec) == grew
+        reduced, pivots = ExactMatrix(vectors).rref()
+        assert [element_vector(x, echelon.perms)
+                for x in echelon.elements(n)] == reduced[:len(pivots)]
+
+    def test_closure_dim_n5(self):
+        assert len(lie_closure(all_kappas(5), 5)) == 40

@@ -123,3 +123,26 @@ class TestConjectures:
         data["dim_lie_space"] = 99
         path.write_text(json.dumps(data))
         assert conjecture_report(3, results_dir=str(tmp_path)).status == "FAIL"
+
+    def test_golden_write_is_atomic(self, tmp_path, monkeypatch):
+        def partial_dump(obj, handle, **kwargs):
+            handle.write('{"dim_lie')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(verify_mod.json, "dump", partial_dump)
+        with pytest.raises(OSError):
+            conjecture_report(3, results_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_report_solves_once(self, monkeypatch):
+        calls = []
+        solve = verify_mod.lie_space
+
+        def counting(n, *args, **kwargs):
+            calls.append(n)
+            return solve(n, *args, **kwargs)
+
+        monkeypatch.setattr(verify_mod, "lie_space", counting)
+        monkeypatch.setattr("lie_elements.wedge_rep.lie_space", counting)
+        assert conjecture_report(4).details["dim_kernel"] == 4
+        assert calls == [4]

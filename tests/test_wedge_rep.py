@@ -9,9 +9,9 @@ from lie_elements.group_algebra import GroupAlgebraElement
 from lie_elements.lie_generators import kappa, nu
 from lie_elements.perm import Permutation, all_permutations
 from lie_elements.wedge_rep import (ResourceLimitError, WedgeBasis,
-                                    action_matrix, alg_matrix, grp_matrix,
-                                    is_lie, kernel_dim, lie_space,
-                                    sort_with_sign)
+                                    action_matrix, action_rank, alg_matrix,
+                                    grp_matrix, is_lie, kernel_dim,
+                                    lie_space, sort_with_sign)
 
 
 class TestWedgeBasis:
@@ -144,3 +144,23 @@ class TestKernelDim:
         assert kernel_dim(2) == (1, 0)
         assert kernel_dim(3) == (4, 0)
         assert kernel_dim(4) == (13, 4)
+
+    def test_n5(self):
+        assert kernel_dim(5) == (66, 50)
+
+    def test_precomputed_space(self):
+        for n in (2, 3, 4):
+            assert kernel_dim(n, space=lie_space(n)) == kernel_dim(n)
+
+    def test_action_rank_flattens_actions(self):
+        # kappa_12 and kappa_13 act by independent matrices, and their
+        # sum adds no rank
+        xs = [kappa(3, 1, 2), kappa(3, 1, 3)]
+        assert action_rank(xs) == 2
+        assert action_rank(xs + [xs[0] + xs[1]]) == 2
+        assert action_rank([GroupAlgebraElement.zero(3)]) == 0
+
+
+class TestLieSpaceN6:
+    def test_dim(self):
+        assert lie_space(6).dim == 493
