@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import graphs, sdet as sdet_mod, verify as verify_mod, wedge_rep
 from .exactmath import DimensionError, ExactMatrix, ResourceLimitError, \
-    rational
+    StructureError, rational
 from .group_algebra import GroupAlgebraElement
 from .lie_generators import all_kappas, lie_closure
 from .perm import Permutation
@@ -240,7 +240,15 @@ def _read_matrix(text, flag) -> ExactMatrix:
 def _run_sdet(args) -> int:
     if args.target == "coeff-graph":
         edges = json.loads(args.edges)
-        result = sdet_mod.monomial_coefficient([tuple(e) for e in edges])
+        if not isinstance(edges, list) or not all(
+                isinstance(e, list) and len(e) == 2
+                and all(type(v) is int for v in e) for e in edges):
+            raise InputError("--edges: expected a JSON list of [i, j] "
+                             "integer pairs")
+        try:
+            result = sdet_mod.monomial_coefficient([tuple(e) for e in edges])
+        except StructureError as exc:
+            raise InputError("--edges: %s" % exc) from None
         _emit([{"coefficient": result.coefficient,
                 "cycle_count": result.cycle_count,
                 "cycles": [list(c) for c in result.cycles]}],

@@ -1,6 +1,7 @@
 """Exact arithmetic kernels: rationals, sparse multivariate polynomials and
 dense matrices over either, with determinant / charpoly / Pfaffian / nullspace,
-and the integer elimination kernel behind rref.
+the fraction-free determinant kernel behind every det, and the integer
+elimination kernel behind rref.
 
 No floating point anywhere; every operation is exact over Q or Q[w, x, ...].
 """
@@ -79,18 +80,6 @@ class MultiPoly:
 
     def constant_value(self) -> Fraction:
         return self.terms.get((), Fraction(0))
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in mono) for mono in self.terms)
-
-    def variables(self):
-        seen = set()
-        for mono in self.terms:
-            for v, _ in mono:
-                seen.add(v)
-        return sorted(seen)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -184,6 +173,10 @@ class MultiPoly:
             quotient[qmono] = quotient.get(qmono, Fraction(0)) + qcoeff
             rem = rem - MultiPoly({qmono: qcoeff}) * other
         return MultiPoly(quotient)
+
+    # the division is exact, so floor division is the same operation; it
+    # lets _bareiss_det run on polynomials unchanged
+    __floordiv__ = __truediv__
 
     def _leading_term(self):
         # Graded lexicographic; purely an internal canonical choice.
@@ -355,10 +348,6 @@ class ExactMatrix:
     def copy(self) -> "ExactMatrix":
         return ExactMatrix([row[:] for row in self.data])
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix([[self.data[i][j] for i in range(self.rows)]
-                            for j in range(self.cols)])
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -401,12 +390,6 @@ class ExactMatrix:
     def scale(self, factor) -> "ExactMatrix":
         return ExactMatrix([[v * factor for v in row] for row in self.data])
 
-    def apply(self, vector):
-        if len(vector) != self.cols:
-            raise DimensionError("vector length mismatch")
-        return [sum((self.data[i][j] * vector[j] for j in range(self.cols)),
-                    Fraction(0)) for i in range(self.rows)]
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -428,65 +411,23 @@ class ExactMatrix:
     # -- linear algebra kernels ------------------------------------------
 
     def det(self):
-        """Exact determinant.  Gaussian elimination over rationals,
-        fraction-free Bareiss when entries are polynomials."""
+        """Exact determinant by the fraction-free kernel _bareiss_det: in Z
+        after scaling each rational row by the lcm of its denominators
+        (det(DM) = det(D) det(M)), in Q[x] when an entry is a polynomial."""
         if not self.is_square():
             raise DimensionError("determinant of a non-square matrix")
         if self.rows == 0:
             return Fraction(1)
-        if self._is_rational():
-            return self._det_gauss()
-        return self._det_bareiss()
-
-    def _det_gauss(self):
-        n = self.rows
-        m = [row[:] for row in self.data]
-        det = Fraction(1)
-        for col in range(n):
-            pivot = None
-            for r in range(col, n):
-                if m[r][col]:
-                    pivot = r
-                    break
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            pv = m[col][col]
-            det *= pv
-            inv = Fraction(1) / pv
-            for r in range(col + 1, n):
-                if m[r][col]:
-                    factor = m[r][col] * inv
-                    m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-        return det
-
-    def _det_bareiss(self):
-        n = self.rows
-        m = [[_poly(v) if not isinstance(v, MultiPoly) else v for v in row]
-             for row in self.data]
-        sign = 1
-        prev = MultiPoly.constant(1)
-        for col in range(n - 1):
-            pivot = None
-            for r in range(col, n):
-                if not m[r][col].is_zero():
-                    pivot = r
-                    break
-            if pivot is None:
-                return MultiPoly()
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                sign = -sign
-            pv = m[col][col]
-            for r in range(col + 1, n):
-                for c in range(col + 1, n):
-                    m[r][c] = (m[r][c] * pv - m[r][col] * m[col][c]) / prev
-                m[r][col] = MultiPoly()
-            prev = pv
-        result = m[n - 1][n - 1]
-        return result if sign == 1 else -result
+        if not self._is_rational():
+            return _poly(_bareiss_det([[_poly(v) for v in row]
+                                       for row in self.data]))
+        scale = 1
+        rows = []
+        for row in self.data:
+            den = lcm(*(v.denominator for v in row))
+            scale *= den
+            rows.append([v.numerator * (den // v.denominator) for v in row])
+        return Fraction(_bareiss_det(rows), scale)
 
     def rref(self):
         """Reduced row echelon form (over rationals).
@@ -583,6 +524,36 @@ class ExactMatrix:
         if acc is None:
             return Fraction(0)
         return acc
+
+
+# -- determinant kernel ---------------------------------------------------
+
+
+def _bareiss_det(rows):
+    """Determinant of a square matrix over Z or Q[x] by fraction-free
+    elimination (Bareiss 1968); every division is exact.  Overwrites rows;
+    a singular matrix gives the int 0."""
+    size = len(rows)
+    sign = 1
+    prev = 1
+    for k in range(size - 1):
+        if not rows[k][k]:
+            for i in range(k + 1, size):
+                if rows[i][k]:
+                    rows[k], rows[i] = rows[i], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, size):
+            row = rows[i]
+            factor = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - factor * pivot_row[j]) // prev
+        prev = pivot
+    return sign * rows[-1][-1]
 
 
 # -- integer elimination kernel -------------------------------------------

@@ -155,9 +155,6 @@ class GroupAlgebraElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self):
-        return sorted(self.terms)
-
     # -- comparisons / rendering ----------------------------------------
 
     def __eq__(self, other):

@@ -20,7 +20,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Dict, List, Sequence, Tuple
 
 from .exactmath import (DimensionError, ExactMatrix, MultiPoly,
-                        ResourceLimitError, StructureError)
+                        ResourceLimitError, StructureError, _bareiss_det)
 
 
 SDET_BOUND = 10          # 2^n shuffle pairs
@@ -312,32 +312,6 @@ def _pair_product(p, q) -> int:
     i, j = p
     k, l = q
     return (i == k) - (i == l) - (j == k) + (j == l)
-
-
-def _bareiss_det(rows: List[List[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination
-    (Bareiss 1968); every division is exact.  Overwrites rows."""
-    size = len(rows)
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if not rows[k][k]:
-            for i in range(k + 1, size):
-                if rows[i][k]:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        for i in range(k + 1, size):
-            row = rows[i]
-            factor = row[k]
-            for j in range(k + 1, size):
-                row[j] = (row[j] * pivot - factor * pivot_row[j]) // prev
-        prev = pivot
-    return sign * rows[-1][-1]
 
 
 def _gram_c_value(products, multiset) -> int:

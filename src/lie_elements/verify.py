@@ -126,9 +126,6 @@ def verify_mtt(n: int, weights: Optional[Dict] = None,
 
 # -- Pfaffian / signed 3-trees -------------------------------------------
 
-_PFT_SIGN: Dict[int, int] = {}
-
-
 def triple_weights(n: int, seed: Optional[int] = None,
                    symbolic: bool = False) -> Dict:
     """Weight table on ascending triples (extended antisymmetrically when
@@ -161,9 +158,9 @@ def verify_pft(n: int, weights: Optional[Dict] = None,
     """Pfaffian identity for the triple-weighted element.
 
     Odd n: with Omega the skew form of y on the hyperplane, Pf(Omega)
-    equals, up to one global sign per n, n * sum of delta(T) w_T over
-    3-trees; checked as an exact equality of squares plus sign
-    consistency across calls.  Even n: the determinant of y on the
+    equals s * n * sum of delta(T) w_T over 3-trees, with the global sign
+    s = (-1)^((n-1)/2); checked as an exact equality, for numeric and
+    symbolic weights alike.  Even n: the determinant of y on the
     hyperplane vanishes.
     """
     t0 = time.perf_counter()
@@ -192,14 +189,9 @@ def verify_pft(n: int, weights: Optional[Dict] = None,
             w = w * weights[triple]
         rhs = rhs + w * delta_sign(tree)
     rhs = rhs * n
-    ok = pf * pf == rhs * rhs
-    details = {}
-    if ok and not symbolic and pf != 0:
-        observed = 1 if (pf > 0) == (rhs > 0) else -1
-        pinned = _PFT_SIGN.setdefault(n, observed)
-        details["global_sign"] = pinned
-        ok = observed == pinned
-    return _report("pfaffian/3-trees", n, seed, ok, pf, rhs, t0, **details)
+    sign = (-1) ** ((n - 1) // 2)
+    return _report("pfaffian/3-trees", n, seed, pf == sign * rhs, pf, rhs,
+                   t0, global_sign=sign)
 
 
 # -- rank-2 form of eta --------------------------------------------------

@@ -173,11 +173,7 @@ def action_matrix(x: GroupAlgebraElement, representation: str = "permutation"
     ("reflection", basis v_i - v_n for i = 1..n-1)."""
     n = x.n
     if representation == "permutation":
-        data = [[Fraction(0)] * n for _ in range(n)]
-        for perm, coeff in x.terms.items():
-            for j in range(1, n + 1):
-                data[perm(j) - 1][j - 1] = data[perm(j) - 1][j - 1] + coeff
-        return ExactMatrix(data)
+        return grp_matrix(x, 1)
     if representation == "reflection":
         data = [[Fraction(0)] * (n - 1) for _ in range(n - 1)]
         for perm, coeff in x.terms.items():

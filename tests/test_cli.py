@@ -198,6 +198,17 @@ class TestBadInput:
     def test_conjectures_n1(self, capsys):
         self.assert_input_error(capsys, "conjectures", "--n", "1")
 
+    @pytest.mark.parametrize("edges", [
+        "5",                    # not a list
+        "[[1]]",                # not a pair
+        '[["a","b"]]',          # not integers
+        "[[1,2],[2,1]]",        # degrees are not 2 and 2
+        "[[1,2,3],[2,1,3]]",    # not pairs
+    ])
+    def test_bad_coeff_graph_edges(self, capsys, edges):
+        self.assert_input_error(capsys, "sdet", "coeff-graph", "--edges",
+                                edges)
+
     def test_missing_matrix(self, capsys):
         self.assert_input_error(capsys, "sdet", "eval", "--matrix-a",
                                 '[["1"]]')

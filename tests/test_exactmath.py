@@ -327,3 +327,153 @@ class TestRrefProperties:
         reduced, pivots = m.rref()
         assert ExactMatrix(reduced).rref() == (reduced, pivots)
         assert (reduced, pivots) == dense_rref(data, m.cols)
+
+
+# -- the fraction-free determinant kernel ---------------------------------
+
+def dense_det(data):
+    """Dense Fraction Gaussian elimination: the rational det the
+    fraction-free kernel replaced, kept here as its oracle."""
+    m = [[Fraction(v) for v in row] for row in data]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = Fraction(1) / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col]:
+                factor = m[r][col] * inv
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return det
+
+
+class TestDetKernel:
+    def check(self, data):
+        d = ExactMatrix(data).det()
+        assert type(d) is Fraction
+        assert d == dense_det(data)
+
+    def test_random_against_dense_oracle(self):
+        rng = random.Random(131)
+        for size in range(1, 8):
+            for dens in ((1,), (1, 10), (1, 2, 3, 7, 2520)):
+                for _ in range(12):
+                    self.check(random_rows(rng, size, size, size, dens))
+                    # rank deficient: every row a combination of fewer
+                    self.check(random_rows(rng, size, size, size - 1, dens))
+
+    def test_degenerate_rows(self):
+        rng = random.Random(7)
+        for size in range(2, 8):
+            for _ in range(8):
+                base = random_rows(rng, size, size, size, (1, 4, 9))
+                zero = [row[:] for row in base]
+                zero[rng.randrange(size)] = [Fraction(0)] * size
+                dup = [row[:] for row in base]
+                dup[-1] = dup[0][:]
+                neg = [row[:] for row in base]
+                neg[1] = [-v for v in neg[0]]
+                for data in (base, zero, dup, neg):
+                    self.check(data)
+
+    def test_zero_first_pivot(self):
+        # each leading zero forces a row swap, so the sign flips
+        self.check([[0, 1], [1, 0]])
+        self.check([[0, 2, 3], [0, 5, 7], [4, 1, 1]])
+        self.check([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+        assert ExactMatrix([[0, 1], [1, 0]]).det() == -1
+        rng = random.Random(19)
+        for size in range(2, 8):
+            for _ in range(10):
+                data = random_rows(rng, size, size, size, (1, 3, 5))
+                data[0][0] = Fraction(0)
+                self.check(data)
+
+    def test_small_shapes(self):
+        assert ExactMatrix([]).det() == 1
+        assert type(ExactMatrix([]).det()) is Fraction
+        self.check([[Fraction(-3, 7)]])
+        self.check([[0]])
+        with pytest.raises(DimensionError):
+            ExactMatrix([[1, 2]]).det()
+
+    def test_polynomial_result_type(self):
+        x = MultiPoly.variable("x")
+        y = MultiPoly.variable("y")
+        singular = ExactMatrix([[x, y], [2 * x, 2 * y]]).det()
+        assert isinstance(singular, MultiPoly) and singular == MultiPoly()
+        no_pivot = ExactMatrix([[x, 0, 1], [y, 0, 2], [1, 0, 3]]).det()
+        assert isinstance(no_pivot, MultiPoly) and no_pivot.is_zero()
+        assert isinstance(ExactMatrix([[x]]).det(), MultiPoly)
+        assert ExactMatrix([[0, x], [y, 1]]).det() == -x * y
+
+    def test_polynomial_against_evaluation(self):
+        # a symbolic det evaluated at a point is the rational det of the
+        # evaluated matrix; singular and zero-pivot cases included
+        rng = random.Random(43)
+        names = ("a", "b")
+        vs = [MultiPoly.variable(v) for v in names]
+        for size in range(1, 5):
+            for trial in range(10):
+                data = [[Fraction(rng.randint(-3, 3))
+                         + rng.choice(vs) * rng.randint(-2, 2)
+                         for _ in range(size)] for _ in range(size)]
+                if trial % 3 == 0:
+                    data[0][0] = MultiPoly()
+                if trial % 5 == 0 and size > 1:
+                    data[-1] = data[0][:]
+                det = ExactMatrix(data).det()
+                assert isinstance(det, MultiPoly)
+                for _ in range(3):
+                    point = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                             for v in names}
+                    numeric = [[_poly_value(e, point) for e in row]
+                               for row in data]
+                    assert _poly_value(det, point) == dense_det(numeric)
+
+    def test_floordiv_is_exact_division(self):
+        x = MultiPoly.variable("x")
+        y = MultiPoly.variable("y")
+        assert ((x + y) * (x - 2)) // (x + y) == x - 2
+        assert (3 * x) // 3 == x
+        with pytest.raises(ValueError):
+            (x * x + y) // (x + 1)
+
+
+def _poly_value(p, point):
+    return p.substitute(point).constant_value()
+
+
+square_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.one_of(st.just(Fraction(0)), rationals),
+                                min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+class TestDetProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(square_matrices, st.data())
+    def test_multiplicative(self, a, data):
+        n = len(a)
+        b = data.draw(st.lists(st.lists(rationals, min_size=n, max_size=n),
+                               min_size=n, max_size=n))
+        A, B = ExactMatrix(a), ExactMatrix(b)
+        assert (A @ B).det() == A.det() * B.det()
+        assert A.det() == dense_det(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_matrices, st.lists(rationals, min_size=1, max_size=3))
+    def test_charpoly_at_points(self, a, points):
+        m = ExactMatrix(a)
+        n = m.rows
+        coeffs = m.charpoly()
+        for t in points:
+            shifted = ExactMatrix.identity(n).scale(t) - m
+            assert sum(c * t ** k for k, c in enumerate(coeffs)) == \
+                shifted.det()

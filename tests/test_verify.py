@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 from fractions import Fraction
 
@@ -6,7 +9,7 @@ import pytest
 
 import lie_elements.verify as verify_mod
 
-from lie_elements.exactmath import MultiPoly
+from lie_elements.exactmath import ExactMatrix, MultiPoly
 from lie_elements.verify import (conjecture_report, pair_weights,
                                  triple_weights, verify_iota, verify_main,
                                  verify_mtt, verify_pft, verify_rank2)
@@ -53,8 +56,8 @@ class TestPft:
     def test_n3_symbolic(self):
         report = verify_pft(3, symbolic=True)
         assert report.passed
-        # Pf(Omega) = -3 w and the signed 3-tree sum is 3 w, so the
-        # squares agree at 9 w^2
+        # Pf(Omega) = -3 w and the signed 3-tree sum is 3 w: the global
+        # sign (-1)^((n-1)/2) is -1 at n = 3
         w = MultiPoly.variable("w_1_2_3")
         assert report.lhs == str(-3 * w)
         assert report.rhs == str(3 * w)
@@ -68,6 +71,46 @@ class TestPft:
             report = verify_pft(5, seed=seed)
             assert report.passed
             assert report.details.get("global_sign") == 1
+
+    def test_symbolic_odd_degrees(self):
+        # Pf = s * rhs as polynomials, s = -1, +1, -1 at n = 3, 5, 7
+        for n, sign in ((3, -1), (5, 1), (7, -1)):
+            report = verify_pft(n, symbolic=True)
+            assert report.passed
+            assert report.details["global_sign"] == sign
+
+    def test_flipped_sign_fails_symbolic(self, monkeypatch):
+        monkeypatch.setattr(verify_mod, "_skew_form",
+                            _swapped(verify_mod._skew_form))
+        for n in (3, 5):
+            assert verify_pft(n, symbolic=True).status == "FAIL"
+
+    def test_flipped_sign_fails_on_first_call(self):
+        # a fresh interpreter, so no earlier call can decide the sign
+        script = (
+            "import lie_elements.verify as v, test_verify as t\n"
+            "v._skew_form = t._swapped(v._skew_form)\n"
+            "print([v.verify_pft(n, seed=1).status for n in (3, 5, 7)])\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC_DIR, os.path.dirname(__file__)]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "['FAIL', 'FAIL', 'FAIL']"
+
+
+SRC_DIR = os.path.dirname(os.path.dirname(verify_mod.__file__))
+
+
+def _swapped(skew_form):
+    """skew_form with the first two basis vectors swapped: the same form
+    in another basis, whose Pfaffian has the opposite sign."""
+    def swapped(y):
+        data = [row[:] for row in skew_form(y).data]
+        data[0], data[1] = data[1], data[0]
+        for row in data:
+            row[0], row[1] = row[1], row[0]
+        return ExactMatrix(data)
+    return swapped
 
 
 class TestRank2:

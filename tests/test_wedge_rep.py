@@ -115,6 +115,18 @@ class TestActionMatrix:
         # v_1 -> v_2 etc.
         assert m.data[1][0] == 1 and m.data[2][1] == 1 and m.data[0][2] == 1
 
+    def test_permutation_is_first_wedge_power(self):
+        rng = random.Random(29)
+        for n in (3, 4, 5):
+            perms = all_permutations(n)
+            for _ in range(5):
+                x = GroupAlgebraElement(n, {
+                    rng.choice(perms): Fraction(rng.randint(-9, 9),
+                                                rng.randint(1, 5))
+                    for _ in range(4)})
+                assert action_matrix(x, "permutation") == grp_matrix(x, 1)
+                assert action_matrix(x) == grp_matrix(x, 1)
+
     def test_reflection_consistency(self):
         # the reflection matrix is the permutation action restricted to
         # the zero-sum hyperplane in the basis v_i - v_n
