@@ -9,7 +9,6 @@ No floating point anywhere; every operation is exact over Q or Q[w, x, ...].
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd, lcm
 from typing import Iterable, Union
 
@@ -163,9 +162,19 @@ class MultiPoly:
             return self * (Fraction(1) / other.constant_value())
         quotient = {}
         rem = self
-        lead_mono, lead_coeff = other._leading_term()
+        ranks = {}                  # _grlex_rank of each monomial seen
+
+        def rank(mono):
+            r = ranks.get(mono)
+            if r is None:
+                r = ranks[mono] = _grlex_rank(mono)
+            return r
+
+        lead_mono = min(other.terms, key=rank)
+        lead_coeff = other.terms[lead_mono]
         while not rem.is_zero():
-            rmono, rcoeff = rem._leading_term()
+            rmono = min(rem.terms, key=rank)
+            rcoeff = rem.terms[rmono]
             qmono = _mono_div(rmono, lead_mono)
             if qmono is None:
                 raise ValueError("inexact polynomial division")
@@ -177,11 +186,6 @@ class MultiPoly:
     # the division is exact, so floor division is the same operation; it
     # lets _bareiss_det run on polynomials unchanged
     __floordiv__ = __truediv__
-
-    def _leading_term(self):
-        # Graded lexicographic; purely an internal canonical choice.
-        mono = max(self.terms, key=_mono_order_key)
-        return mono, self.terms[mono]
 
     # -- queries ---------------------------------------------------------
 
@@ -228,7 +232,7 @@ class MultiPoly:
         if not self.terms:
             return "0"
         parts = []
-        for mono in sorted(self.terms, key=_mono_order_key, reverse=True):
+        for mono in sorted(self.terms, key=_grlex_rank):
             coeff = self.terms[mono]
             body = "*".join(
                 v if e == 1 else "%s^%d" % (v, e) for v, e in mono
@@ -273,24 +277,16 @@ def _mono_div(m1, m2):
     return tuple(sorted(merged.items()))
 
 
-def _mono_cmp(m1, m2):
-    # graded lexicographic: higher total degree wins; ties broken by the
-    # first (alphabetically) variable with differing exponents, larger
-    # exponent first.  This order is compatible with multiplication, which
-    # the exact-division loop requires.
-    d1 = sum(e for _, e in m1)
-    d2 = sum(e for _, e in m2)
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
-    e1, e2 = dict(m1), dict(m2)
-    for v in sorted(set(e1) | set(e2)):
-        a, b = e1.get(v, 0), e2.get(v, 0)
-        if a != b:
-            return 1 if a > b else -1
-    return 0
+def _grlex_rank(mono):
+    """Sort key of the graded lexicographic order, leading monomial first.
 
-
-_mono_order_key = cmp_to_key(_mono_cmp)
+    Higher total degree leads; ties go to the first (alphabetically)
+    variable with differing exponents, larger exponent first.  The order is
+    compatible with multiplication, which the exact-division loop requires.
+    Two monomials of one degree differ before either runs out of variables,
+    so the (variable, -exponent) pairs compare as the order says.
+    """
+    return -sum(e for _, e in mono), tuple((v, -e) for v, e in mono)
 
 
 def coeff_at(p, monomial) -> Fraction:

@@ -1,7 +1,9 @@
 """Labeled trees, signed 3-trees, and 4-graphs.
 
-Trees are enumerated through Prufer sequences.  A 3-graph is a multiset of
-solid triangles glued at vertices; the contractible ones ("3-trees") carry a
+Trees are enumerated through Prufer sequences; spanning_tree_sum adds up the
+weights of all trees of K_n by a pruned depth-first search instead.  A
+3-graph is a multiset of solid triangles glued at vertices; the contractible
+ones ("3-trees") are enumerated by a pruned depth-first search and carry a
 sign delta computed from the cycle structure of the product of their
 triangles.  4-graphs pair each 4-subset of vertices with one of two
 tetrahedron variants and index the coefficients of the characteristic
@@ -146,6 +148,49 @@ def tree_weight(tree: LabeledTree, weights):
     return total
 
 
+def spanning_tree_sum(n: int, weights):
+    """Sum over all spanning trees of K_n of the product of edge weights.
+
+    The table is read symmetrically, as tree_weight reads it.  Each tree is
+    visited once, as a parent map rooted at n: vertices 1..n-1 pick their
+    parent in turn, a choice that closes a cycle is pruned, and each partial
+    product is shared by every tree that extends it.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    table = [[0] * (n + 1) for _ in range(n + 1)]
+    for i, j in combinations(range(1, n + 1), 2):
+        key = (i, j) if (i, j) in weights else (j, i)
+        if key not in weights:
+            raise KeyError("no weight for edge (%d,%d)" % (i, j))
+        table[i][j] = table[j][i] = weights[key]
+    parent = [0] * (n + 1)          # 0: no parent chosen yet
+
+    def closes_cycle(v, p):
+        # the parent chain of p stops at n or at a vertex without a parent;
+        # v has none yet, so v -> p closes a cycle iff the chain stops at v
+        while p != n and parent[p]:
+            p = parent[p]
+        return p == v
+
+    def extend(v, product):
+        row = table[v]
+        if v == n - 1:
+            last = [row[p] for p in range(1, n + 1)
+                    if p != v and row[p] and not closes_cycle(v, p)]
+            return product * sum(last) if last else Fraction(0)
+        total = Fraction(0)
+        for p in range(1, n + 1):
+            if p == v or not row[p] or closes_cycle(v, p):
+                continue
+            parent[v] = p
+            total = total + extend(v + 1, product * row[p])
+            parent[v] = 0
+        return total
+
+    return extend(1, Fraction(1)) if n > 1 else Fraction(1)
+
+
 # -- 3-graphs ------------------------------------------------------------
 
 
@@ -221,10 +266,33 @@ def enumerate_three_trees(m: int,
             % (m, edge_bound))
     n = 2 * m + 1
     triples = list(combinations(range(1, n + 1), 3))
-    for chosen in combinations_with_replacement(triples, m):
-        graph = ThreeGraph(n, chosen)
-        if is_three_tree(graph):
-            yield graph
+    # Lexicographic search over sorted triangle multisets, in the order of
+    # combinations_with_replacement.  A triangle is kept only if it joins
+    # three different components of the triangles before it; m such
+    # triangles leave one component of 2m+1 vertices, so every leaf is a
+    # connected complex covering 1..n, i.e. a 3-tree.
+    comp = list(range(n + 1))       # component label of each vertex
+    chosen = []
+
+    def search(start):
+        if len(chosen) == m:
+            yield ThreeGraph(n, tuple(chosen))
+            return
+        for idx in range(start, len(triples)):
+            i, j, k = triples[idx]
+            a, b, c = comp[i], comp[j], comp[k]
+            if a == b or a == c or b == c:
+                continue
+            saved = comp[:]
+            for v in range(1, n + 1):
+                if comp[v] == b or comp[v] == c:
+                    comp[v] = a
+            chosen.append(triples[idx])
+            yield from search(idx)
+            chosen.pop()
+            comp[:] = saved
+
+    yield from search(0)
 
 
 def delta_sign(graph: ThreeGraph, check_reorder: bool = True) -> int:

@@ -29,12 +29,11 @@ from itertools import combinations
 from typing import Dict, Optional
 
 from .exactmath import ExactMatrix, MultiPoly
-from .graphs import (delta_sign, enumerate_three_trees, enumerate_trees,
-                     tree_weight)
+from .graphs import delta_sign, enumerate_three_trees, spanning_tree_sum
 from .group_algebra import GroupAlgebraElement
 from .lie_generators import all_kappas, eta, kappa, lie_closure, nu, \
     repeated_commutator_set
-from .sdet import instances, mu_from_weights
+from .sdet import mu_from_weights
 from .wedge_rep import (action_matrix, action_rank, is_lie, kernel_dim,
                         lie_space)
 
@@ -72,8 +71,20 @@ def random_rational(rng: random.Random) -> Fraction:
 
 
 def _complete(weights, keys):
-    """Fill missing table entries with zero."""
-    table = dict(weights)
+    """Fold every key into its ascending form and fill missing entries with
+    zero.
+
+    Keys that fold onto one ascending key are summed, so the tree side
+    reads the same element the generator side builds: pair weights are
+    symmetric, and a triple takes the sign of the permutation that sorts
+    it, since nu of an odd reordering is -nu.
+    """
+    table = {}
+    for key, w in weights.items():
+        if len(key) == 3 and sum(a > b for a, b in combinations(key, 2)) % 2:
+            w = -w
+        key = tuple(sorted(key))
+        table[key] = table[key] + w if key in table else w
     for key in keys:
         table.setdefault(key, Fraction(0))
     return table
@@ -118,8 +129,7 @@ def verify_mtt(n: int, weights: Optional[Dict] = None,
     for (i, j), w in weights.items():
         x = x + kappa(n, i, j).scale(w)
     lhs = action_matrix(x, "reflection").det()
-    rhs = sum((tree_weight(t, weights) for t in enumerate_trees(n)),
-              MultiPoly.constant(0) if symbolic else Fraction(0)) * n
+    rhs = spanning_tree_sum(n, weights) * n
     return _report("determinant/spanning-trees", n, seed, lhs == rhs,
                    lhs, rhs, t0)
 

@@ -1,6 +1,8 @@
 import random
 
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -9,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from lie_elements.exactmath import (DimensionError, ExactMatrix, MultiPoly,
                                     StructureError, _eliminate,
-                                    _forward_pass, _integer_row, coeff_at,
-                                    rational)
+                                    _forward_pass, _grlex_rank, _integer_row,
+                                    coeff_at, rational)
 
 
 def rand_matrix(n, rng, lo=-9, hi=9):
@@ -477,3 +479,45 @@ class TestDetProperties:
             shifted = ExactMatrix.identity(n).scale(t) - m
             assert sum(c * t ** k for k, c in enumerate(coeffs)) == \
                 shifted.det()
+
+
+def old_mono_cmp(m1, m2):
+    """The graded lexicographic comparator MultiPoly used to sort with:
+    higher total degree wins, then the first (alphabetically) variable with
+    differing exponents, larger exponent first."""
+    d1 = sum(e for _, e in m1)
+    d2 = sum(e for _, e in m2)
+    if d1 != d2:
+        return -1 if d1 < d2 else 1
+    e1, e2 = dict(m1), dict(m2)
+    for v in sorted(set(e1) | set(e2)):
+        a, b = e1.get(v, 0), e2.get(v, 0)
+        if a != b:
+            return 1 if a > b else -1
+    return 0
+
+
+def random_monomial(rng):
+    names = ["a", "b", "w_1_2", "w_1_3", "w_2_3", "x1", "x10", "x2"]
+    chosen = rng.sample(names, rng.randint(0, 4))
+    return tuple(sorted((v, rng.randint(1, 3)) for v in chosen))
+
+
+class TestGrlexRank:
+    def test_matches_old_comparator(self):
+        rng = random.Random(11)
+        monos = sorted({random_monomial(rng) for _ in range(400)})
+        assert len(monos) > 200
+        for m1, m2 in combinations(monos, 2):
+            expected = old_mono_cmp(m1, m2)
+            got = (_grlex_rank(m1) < _grlex_rank(m2)) - \
+                (_grlex_rank(m1) > _grlex_rank(m2))
+            assert got == expected
+        assert sorted(monos, key=_grlex_rank) == \
+            sorted(monos, key=cmp_to_key(old_mono_cmp), reverse=True)
+
+    def test_printed_order(self):
+        x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
+        p = (x + y + 1) ** 2
+        assert str(p) == "x^2 + 2*x*y + y^2 + 2*x + 2*y + 1"
+        assert str(x * y * y - x * x + y) == "x*y^2 - x^2 + y"

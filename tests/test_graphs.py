@@ -1,7 +1,7 @@
 import random
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -10,7 +10,8 @@ from lie_elements.graphs import (FourGraph, LabeledTree, NotAThreeTreeError,
                                  ResourceLimitError, ThreeGraph, delta_sign,
                                  enumerate_four_graphs, enumerate_three_trees,
                                  enumerate_trees, is_three_tree,
-                                 prufer_decode, prufer_encode, tree_weight)
+                                 prufer_decode, prufer_encode,
+                                 spanning_tree_sum, tree_weight)
 
 
 class TestTrees:
@@ -64,6 +65,74 @@ class TestTreeWeight:
             tree_weight(LabeledTree(2, ((1, 2),)), {})
 
 
+def prufer_tree_sum(n, weights):
+    """The spanning-tree sum the slow way: one LabeledTree per Prufer
+    sequence and one weight product per tree."""
+    return sum((tree_weight(t, weights) for t in enumerate_trees(n)),
+               Fraction(0))
+
+
+def rational_pair_weights(n, rng, den):
+    """Seeded weights p/q with q | den, about a quarter of them zero."""
+    out = {}
+    for i, j in combinations(range(1, n + 1), 2):
+        zero = rng.random() < 0.25
+        out[(i, j)] = Fraction(0 if zero else rng.randint(-50, 50),
+                               rng.choice([d for d in range(1, den + 1)
+                                           if den % d == 0]))
+    return out
+
+
+class TestSpanningTreeSum:
+    def test_symbolic_visits_every_tree_once(self):
+        # each tree is its own square-free monomial, so equal polynomials
+        # mean every tree is counted exactly once
+        for n in range(1, 7):
+            weights = {(i, j): MultiPoly.variable("w_%d_%d" % (i, j))
+                       for i, j in combinations(range(1, n + 1), 2)}
+            assert spanning_tree_sum(n, weights) == \
+                prufer_tree_sum(n, weights)
+
+    def test_rational_matches_prufer_sum(self):
+        rng = random.Random(5)
+        for n in range(1, 8):
+            for den in (1, 10, 2520):
+                weights = rational_pair_weights(n, rng, den)
+                value = spanning_tree_sum(n, weights)
+                assert isinstance(value, Fraction)
+                assert value == prufer_tree_sum(n, weights)
+
+    def test_cayley_count_and_zero_weights(self):
+        for n in range(1, 8):
+            ones = {e: Fraction(1)
+                    for e in combinations(range(1, n + 1), 2)}
+            assert spanning_tree_sum(n, ones) == (n ** (n - 2) if n > 1
+                                                  else 1)
+        # a vertex whose edges all weigh zero is in no weighted tree
+        weights = {e: Fraction(0 if 4 in e else 3)
+                   for e in combinations(range(1, 5), 2)}
+        assert spanning_tree_sum(4, weights) == 0
+
+    def test_symmetric_lookup_and_missing_weight(self):
+        weights = {(2, 1): Fraction(3), (1, 3): Fraction(5),
+                   (3, 2): Fraction(7)}
+        assert spanning_tree_sum(3, weights) == 3 * 5 + 3 * 7 + 5 * 7
+        with pytest.raises(KeyError):
+            spanning_tree_sum(3, {(1, 2): Fraction(1)})
+        with pytest.raises(ValueError):
+            spanning_tree_sum(0, {})
+
+
+def filtered_three_trees(m):
+    """The 3-trees by brute force: every sorted triangle multiset that
+    passes is_three_tree, in combinations_with_replacement order."""
+    n = 2 * m + 1
+    triples = list(combinations(range(1, n + 1), 3))
+    return [ThreeGraph(n, chosen)
+            for chosen in combinations_with_replacement(triples, m)
+            if is_three_tree(ThreeGraph(n, chosen))]
+
+
 class TestThreeTrees:
     def test_single_triangle(self):
         assert is_three_tree(ThreeGraph(3, ((1, 2, 3),)))
@@ -89,6 +158,11 @@ class TestThreeTrees:
     def test_resource_bound(self):
         with pytest.raises(ResourceLimitError):
             list(enumerate_three_trees(4))
+
+    def test_search_matches_filter_in_order(self):
+        for m in (1, 2, 3):
+            assert list(enumerate_three_trees(m)) == filtered_three_trees(m)
+        assert len(filtered_three_trees(3)) == 735
 
 
 class TestDeltaSign:

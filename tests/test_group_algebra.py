@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from lie_elements.group_algebra import GroupAlgebraElement, \
     UnsupportedUnitError
 from lie_elements.perm import DegreeMismatchError, Permutation, \
@@ -80,6 +82,20 @@ class TestRingStructure:
                          + y.bracket(z.bracket(x))
                          + z.bracket(x.bracket(y)))
                 assert total.is_zero()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n), *[st.lists(st.tuples(
+            st.sampled_from(all_permutations(n)),
+            st.fractions(min_value=-9, max_value=9, max_denominator=6)),
+            max_size=4)] * 3)))
+    def test_jacobi_identity_property(self, drawn):
+        n, *term_lists = drawn
+        x, y, z = (GroupAlgebraElement(n, dict(terms))
+                   for terms in term_lists)
+        total = (x.bracket(y.bracket(z)) + y.bracket(z.bracket(x))
+                 + z.bracket(x.bracket(y)))
+        assert total.is_zero()
 
     def test_conjugation_is_bracket_automorphism(self):
         rng = random.Random(17)

@@ -5,6 +5,8 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from lie_elements.exactmath import (DimensionError, ExactMatrix, MultiPoly,
                                     StructureError)
 from lie_elements.sdet import (EdgeSystem, ResourceLimitError, build_AB,
@@ -234,3 +236,31 @@ class TestMuTables:
     def test_top_table_matches_full(self):
         for n in (4, 5):
             assert mu_table(n, n - 1, top_only=True) == mu_table(n, n - 1)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Two integer matrices of one size 1..4, and a row and a column
+    permutation of that size."""
+    n = draw(st.integers(1, 4))
+    cell = st.integers(-5, 5)
+    a, b = (draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                          min_size=n, max_size=n)) for _ in range(2))
+    rows, cols = (draw(st.permutations(range(n))) for _ in range(2))
+    return a, b, rows, cols
+
+
+class TestSdetProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(matrix_pairs())
+    def test_symmetries(self, drawn):
+        a, b, rows, cols = drawn
+        A, B = ExactMatrix(a), ExactMatrix(b)
+        value = sdet(A, B)
+        assert sdet(B, A) == value
+        assert sdet(ExactMatrix([a[r] for r in rows]),
+                    ExactMatrix([b[r] for r in rows])) == value
+        assert sdet(ExactMatrix([[row[c] for c in cols] for row in a]),
+                    ExactMatrix([[row[c] for c in cols] for row in b])) \
+            == value
+        assert sdet_via_coeff(A, B) == value

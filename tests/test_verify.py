@@ -51,6 +51,18 @@ class TestMtt:
         for seed in range(3):
             assert verify_mtt(5, seed=seed).passed
 
+    def test_unsorted_pair_key(self):
+        report = verify_mtt(2, weights={(2, 1): Fraction(7)})
+        assert report.passed and report.lhs == report.rhs == "14"
+
+    def test_pair_given_both_ways_is_summed(self):
+        report = verify_mtt(2, weights={(1, 2): Fraction(3),
+                                        (2, 1): Fraction(4)})
+        assert report.passed and report.lhs == report.rhs == "14"
+        weights = {(1, 2): Fraction(1), (2, 1): Fraction(1, 2),
+                   (3, 1): Fraction(2), (2, 3): Fraction(-3)}
+        assert verify_mtt(3, weights=weights).passed
+
 
 class TestPft:
     def test_n3_symbolic(self):
@@ -96,6 +108,18 @@ class TestPft:
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "['FAIL', 'FAIL', 'FAIL']"
+
+    def test_unsorted_triple_key_takes_the_sorting_sign(self):
+        report = verify_pft(3, weights={(2, 1, 3): Fraction(7)})
+        assert report.passed
+        assert (report.lhs, report.rhs) == ("21", "-21")
+        # an even reordering keeps the sign; repeats are summed
+        report = verify_pft(3, weights={(2, 3, 1): Fraction(7),
+                                        (1, 2, 3): Fraction(1)})
+        assert report.passed and report.rhs == "24"
+        weights = {(3, 2, 1): Fraction(2), (1, 4, 5): Fraction(3),
+                   (5, 2, 4): Fraction(1, 3), (2, 4, 1): Fraction(-1)}
+        assert verify_pft(5, weights=weights).passed
 
 
 SRC_DIR = os.path.dirname(os.path.dirname(verify_mod.__file__))
