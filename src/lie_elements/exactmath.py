@@ -31,6 +31,13 @@ def rational(value) -> Fraction:
     raise TypeError("cannot build a rational from %r" % (value,))
 
 
+def _scaled_integers(values):
+    """(ints, scale) with ints[i] = values[i] * scale, for a sequence of
+    rationals and the lcm `scale` of their denominators (1 if empty)."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def _as_coeff(value):
     if isinstance(value, MultiPoly):
         return value
@@ -420,9 +427,9 @@ class ExactMatrix:
         scale = 1
         rows = []
         for row in self.data:
-            den = lcm(*(v.denominator for v in row))
+            ints, den = _scaled_integers(row)
             scale *= den
-            rows.append([v.numerator * (den // v.denominator) for v in row])
+            rows.append(ints)
         return Fraction(_bareiss_det(rows), scale)
 
     def rref(self):
@@ -575,9 +582,8 @@ def _integer_row(values):
     row = {c: v for c, v in enumerate(values) if v}
     if not row:
         return row
-    den = lcm(*(v.denominator for v in row.values()))
-    return _primitive({c: v.numerator * (den // v.denominator)
-                       for c, v in row.items()})
+    ints, _ = _scaled_integers(row.values())
+    return _primitive(dict(zip(row, ints)))
 
 
 def _eliminate(row, pivot_row, col):

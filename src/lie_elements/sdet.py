@@ -20,7 +20,8 @@ from itertools import combinations, combinations_with_replacement
 from typing import Dict, List, Sequence, Tuple
 
 from .exactmath import (DimensionError, ExactMatrix, MultiPoly,
-                        ResourceLimitError, StructureError, _bareiss_det)
+                        ResourceLimitError, StructureError, _bareiss_det,
+                        _scaled_integers, rational)
 
 
 SDET_BOUND = 10          # 2^n shuffle pairs
@@ -286,9 +287,32 @@ def _weight_product(system: EdgeSystem, weights):
 #
 # an r x r integer Gram matrix whose cost does not depend on n.  Since
 # G_Ibar is the transpose of G_I, the subsets I without row r are summed
-# and doubled.  The top_only tables (r = n-1) keep the single column
-# subset shuffle determinants, so that verify_main's top-versus-full
-# cross-check compares two independent computations.
+# and doubled.
+#
+# The top_only tables (r = n-1) use exterior products on one column subset
+# instead of inner products, so verify_main's top-versus-full cross-check
+# compares two independent computations.  All n column subsets of size n-1
+# give the same shuffle-determinant sum, so c(M) = n * sum over I of
+# det(S_I^J) det(S_Ibar^J) with J = {1..n-1}.  A depth-first search visits
+# the multisets in lexicographic order.  A node holds, for each row subset
+# I of its prefix, the pair (L, R) of exterior products of the rows of S_I
+# and of S_Ibar on the columns J, as sparse {column bitmask: int} dicts;
+# the next instance, with rows (a, b), turns (L, R) into (L^a, R^b) and
+# (L^b, R^a).  A pair with a zero side adds nothing below it and is
+# dropped; a node with no pairs left has only zero leaves and is pruned.
+# At depth r-1, L^a = <l, a> for the cofactor vector l of L, and likewise
+# rho for R, so the sum over the last instance is
+#
+#     sum over pairs of <l,a><rho,b> + <l,b><rho,a> = a^T (K + K^T) b,
+#     K = sum over pairs of l rho^T,
+#
+# and each leaf costs one bilinear form.  mu_table(6, 5, top_only=True),
+# 96,533 nonzero entries, takes about 3 s (CPython 3.11, one core of a
+# 2-vCPU VM).
+#
+# mu_from_weights sums a table in Z: it scales the weights by the lcm of
+# their denominators, so each weight product is a product of ints, and
+# builds one Fraction at the end.
 
 Instance = namedtuple("Instance", ["quad", "variant", "tuple4"])
 
@@ -335,67 +359,116 @@ def _gram_c_value(products, multiset) -> int:
     return 2 * total
 
 
-def _restricted_row(tuple4, J, first_pair: bool) -> Tuple[int, ...]:
-    i, j, k, l = tuple4
-    p, q = (i, j) if first_pair else (k, l)
-    row = [0] * len(J)
-    for col, label in enumerate(J):
-        if label == p:
-            row[col] = 1
-        elif label == q:
-            row[col] = -1
-    return tuple(row)
-
-
-def _int_det(rows: Tuple[Tuple[int, ...], ...], cache: Dict) -> int:
-    """Determinant of a small integer matrix given as a tuple of row
-    tuples, memoized after sorting rows (sign tracked)."""
-    order = sorted(range(len(rows)), key=lambda i: rows[i])
-    sign = 1
-    # parity of the sorting permutation
-    seen = [False] * len(rows)
-    for start in range(len(rows)):
-        if seen[start]:
+def _gram_table(n: int, r: int) -> List:
+    insts = instances(n)
+    pairs = [p for inst in insts
+             for p in (inst.tuple4[:2], inst.tuple4[2:])]
+    products = [[_pair_product(p, q) for q in pairs] for p in pairs]
+    table = []
+    for multiset in combinations_with_replacement(range(len(insts)), r):
+        counts = {}
+        for idx in multiset:
+            counts[idx] = counts.get(idx, 0) + 1
+        if any(c > 2 for c in counts.values()):
             continue
-        length = 0
-        idx = start
-        while not seen[idx]:
-            seen[idx] = True
-            idx = order[idx]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    key = tuple(rows[i] for i in order)
-    for a, b in zip(key, key[1:]):
-        if a == b:
-            return 0
-    value = cache.get(key)
-    if value is None:
-        value = _bareiss_det([list(row) for row in key])
-        cache[key] = value
-    return sign * value
+        c = _gram_c_value(products, multiset)
+        if c:
+            denom = 1
+            for count in counts.values():
+                if count == 2:
+                    denom *= 2
+            table.append((multiset, Fraction(c, denom)))
+    return table
 
 
-def _top_c_value(tuple4s, n: int, cache: Dict) -> int:
-    """c(M) for r = n-1 as n times the shuffle determinant sum on the
-    single column subset {1..n-1} (all n subsets contribute equally)."""
-    r = len(tuple4s)
-    J = tuple(range(1, n))
-    a_rows = [_restricted_row(t, J, True) for t in tuple4s]
-    b_rows = [_restricted_row(t, J, False) for t in tuple4s]
-    if any(not any(a) and not any(b) for a, b in zip(a_rows, b_rows)):
-        return 0
-    total = 0
-    for mask in range(2 ** r):
-        left = tuple(a_rows[s] if mask >> s & 1 else b_rows[s]
-                     for s in range(r))
-        d1 = _int_det(left, cache)
-        if not d1:
-            continue
-        right = tuple(b_rows[s] if mask >> s & 1 else a_rows[s]
-                      for s in range(r))
-        total += d1 * _int_det(right, cache)
-    return n * total
+def _wedge(form, row):
+    """form ^ row for a sparse form {column bitmask: int} and a sparse row
+    {column: int}; {} if it vanishes."""
+    out = {}
+    for mask, x in form.items():
+        for col, y in row.items():
+            bit = 1 << col
+            if mask & bit:
+                continue
+            # e_col moves left past the columns of mask above col
+            if (mask >> col).bit_count() & 1:
+                y = -y
+            key = mask | bit
+            out[key] = out.get(key, 0) + x * y
+    return {key: v for key, v in out.items() if v}
+
+
+def _cofactors(form, r: int) -> List[int]:
+    """The vector l with form ^ a = <l, a> e_1^...^e_r, for a form of
+    degree r-1 on r columns."""
+    full = (1 << r) - 1
+    out = [0] * r
+    for mask, x in form.items():
+        col = (full ^ mask).bit_length() - 1
+        out[col] = -x if (mask >> col).bit_count() & 1 else x
+    return out
+
+
+def _symmetric_fold(pairs, r: int) -> List[List[int]]:
+    """K + K^T for K = sum over the pairs (L, R) of l rho^T, with l and rho
+    the cofactor vectors of L and R."""
+    K = [[0] * r for _ in range(r)]
+    for L, R in pairs:
+        rho = _cofactors(R, r)
+        for i, x in enumerate(_cofactors(L, r)):
+            if x:
+                row = K[i]
+                for j, y in enumerate(rho):
+                    row[j] += x * y
+    return [[K[i][j] + K[j][i] for j in range(r)] for i in range(r)]
+
+
+def _top_table(n: int) -> List:
+    """The r = n-1 table by the prefix-wedge search described above."""
+    r = n - 1
+
+    def restricted(p, q):
+        # e_p - e_q on the columns 1..n-1, as {column: entry}
+        return {c - 1: v for c, v in ((p, 1), (q, -1)) if c < n}
+
+    rows = [(restricted(*inst.tuple4[:2]), restricted(*inst.tuple4[2:]))
+            for inst in instances(n)]
+    table = []
+    prefix = []
+
+    def visit(pairs, lo, doubles):
+        # lo: the least instance the next one may be; doubles: how many
+        # instances the prefix holds twice
+        last = prefix[-1] if prefix else None
+        if len(prefix) == r - 1:
+            S = _symmetric_fold(pairs, r)
+            for idx in range(lo, len(rows)):
+                a, b = rows[idx]
+                c = sum(x * S[i][j] * y
+                        for i, x in a.items() for j, y in b.items())
+                if c:
+                    table.append((tuple(prefix) + (idx,),
+                                  Fraction(n * c, 2 ** (doubles
+                                                        + (idx == last)))))
+            return
+        for idx in range(lo, len(rows)):
+            a, b = rows[idx]
+            children = []
+            for L, R in pairs:
+                for x, y in ((a, b), (b, a)):
+                    left = _wedge(L, x)
+                    if left:
+                        right = _wedge(R, y)
+                        if right:
+                            children.append((left, right))
+            if children:
+                repeat = idx == last
+                prefix.append(idx)
+                visit(children, idx + 1 if repeat else idx, doubles + repeat)
+                prefix.pop()
+
+    visit([({0: 1}, {0: 1})], 0, 0)
+    return table
 
 
 _MU_TABLES: Dict[Tuple[int, int], List] = {}
@@ -407,42 +480,30 @@ def mu_table(n: int, r: int, top_only: bool = False) -> List:
     Returns a list of (multiset of instance indices, Fraction value) where
     the value already includes the 1/multiplicity! factors; the weighted
     sum over the list with per-instance weight products gives the
-    coefficient.  Cached per (n, r, top_only).
+    coefficient.  The multisets come in the order of
+    combinations_with_replacement.  Cached per (n, r, top_only).  Needs
+    1 <= r <= n, and r = n-1 with top_only.
 
     Full tables evaluate c(M) by Cauchy-Binet as a sum of r x r integer
     Gram determinants det(G_I) over row subsets I, where G_I holds the
     inner products of the rows of the shuffle S_I with those of S_Ibar;
     det(G_Ibar) = det(G_I), so half the subsets are visited and doubled.
-    With top_only (valid when r = n-1) c(M) is instead n times the shuffle
-    determinant sum on one column subset, an independent computation.
+    With top_only, c(M) is n times the shuffle-determinant sum on one
+    column subset, an independent computation: a depth-first prefix-wedge
+    search carries the exterior products of the rows chosen so far and
+    prunes every prefix whose products all vanish.
     """
+    if not 1 <= r <= n:
+        raise DimensionError("mu_table needs 1 <= r <= n, got r=%d n=%d"
+                             % (r, n))
+    if top_only and r != n - 1:
+        raise DimensionError("top_only needs r = n-1, got r=%d n=%d"
+                             % (r, n))
     key = (n, r, top_only)
     cached = _MU_TABLES.get(key)
     if cached is not None:
         return cached
-    insts = instances(n)
-    pairs = [p for inst in insts
-             for p in (inst.tuple4[:2], inst.tuple4[2:])]
-    products = [[_pair_product(p, q) for q in pairs] for p in pairs]
-    det_cache: Dict = {}
-    table = []
-    for multiset in combinations_with_replacement(range(len(insts)), r):
-        counts = {}
-        for idx in multiset:
-            counts[idx] = counts.get(idx, 0) + 1
-        if any(c > 2 for c in counts.values()):
-            continue
-        if top_only:
-            c = _top_c_value([insts[idx].tuple4 for idx in multiset], n,
-                             det_cache)
-        else:
-            c = _gram_c_value(products, multiset)
-        if c:
-            denom = 1
-            for count in counts.values():
-                if count == 2:
-                    denom *= 2
-            table.append((multiset, Fraction(c, denom)))
+    table = _top_table(n) if top_only else _gram_table(n, r)
     _MU_TABLES[key] = table
     return table
 
@@ -450,13 +511,18 @@ def mu_table(n: int, r: int, top_only: bool = False) -> List:
 def mu_from_weights(n: int, r: int, weight_of, top_only: bool = False):
     """Weighted charpoly coefficient from the cached integer table.
 
-    weight_of maps an Instance to its ring-element weight.
+    weight_of maps an Instance to its rational weight; it is called once
+    per instance.  The sum runs in Z: the weights are scaled by the lcm of
+    their denominators, the table values by the lcm of theirs, and the one
+    Fraction is built at the end.
     """
-    insts = instances(n)
-    total = Fraction(0)
-    for multiset, value in mu_table(n, r, top_only=top_only):
-        prod = value
+    table = mu_table(n, r, top_only=top_only)
+    weights, scale = _scaled_integers(
+        [rational(weight_of(inst)) for inst in instances(n)])
+    values, denom = _scaled_integers([value for _, value in table])
+    total = 0
+    for (multiset, _), value in zip(table, values):
         for idx in multiset:
-            prod = prod * weight_of(insts[idx])
-        total = prod + total
-    return total
+            value *= weights[idx]
+        total += value
+    return Fraction(total, denom * scale ** r)

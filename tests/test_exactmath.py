@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from lie_elements.exactmath import (DimensionError, ExactMatrix, MultiPoly,
                                     StructureError, _eliminate,
                                     _forward_pass, _grlex_rank, _integer_row,
-                                    coeff_at, rational)
+                                    _scaled_integers, coeff_at, rational)
 
 
 def rand_matrix(n, rng, lo=-9, hi=9):
@@ -294,6 +294,22 @@ class TestRrefKernel:
             for col, row in echelon.items():
                 assert gcd(*row.values()) == 1
                 assert min(row) == col
+
+    def test_scaled_integers(self):
+        # one lcm scaling behind det, the integer rows and the weighted
+        # table sums
+        assert _scaled_integers([Fraction(1, 6), Fraction(-3, 4),
+                                 Fraction(0), 2]) == ([2, -9, 0, 24], 12)
+        assert _scaled_integers([]) == ([], 1)
+        rng = random.Random(43)
+        for _ in range(50):
+            values = [Fraction(rng.randint(-30, 30), rng.choice((1, 7, 10,
+                                                                 2520)))
+                      for _ in range(rng.randint(1, 6))]
+            ints, scale = _scaled_integers(values)
+            assert all(isinstance(v, int) for v in ints)
+            assert [Fraction(v, scale) for v in ints] == values
+            assert scale == lcm(*(v.denominator for v in values))
 
     def test_polynomial_entries_rejected(self):
         x = MultiPoly.variable("x")

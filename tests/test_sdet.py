@@ -7,11 +7,13 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from lie_elements import sdet as sdet_module
 from lie_elements.exactmath import (DimensionError, ExactMatrix, MultiPoly,
-                                    StructureError)
-from lie_elements.sdet import (EdgeSystem, ResourceLimitError, build_AB,
-                               instances, monomial_coefficient,
-                               mu_from_weights, mu_table, phi, phi_top, sdet,
+                                    StructureError, _bareiss_det)
+from lie_elements.sdet import (EdgeSystem, ResourceLimitError, _gram_c_value,
+                               _pair_product, build_AB, instances,
+                               monomial_coefficient, mu_from_weights,
+                               mu_table, phi, phi_top, sdet,
                                sdet_identity_formula, sdet_via_coeff,
                                shuffle)
 
@@ -236,6 +238,200 @@ class TestMuTables:
     def test_top_table_matches_full(self):
         for n in (4, 5):
             assert mu_table(n, n - 1, top_only=True) == mu_table(n, n - 1)
+
+    @pytest.mark.parametrize("n, r, top_only", [
+        (5, 3, True),       # top_only needs r = n-1
+        (4, 4, True),
+        (5, 0, False),      # r < 1
+        (4, 5, False),      # r > n
+    ])
+    def test_bad_arguments(self, n, r, top_only):
+        with pytest.raises(DimensionError):
+            mu_table(n, r, top_only=top_only)
+        with pytest.raises(DimensionError):
+            mu_from_weights(n, r, lambda inst: Fraction(1),
+                            top_only=top_only)
+
+    def test_non_rational_weight(self):
+        x = MultiPoly.variable("x")
+        with pytest.raises(TypeError, match="cannot build a rational"):
+            mu_from_weights(4, 2, lambda inst: x)
+
+
+# -- the r = n-1 tables against the path the prefix-wedge search replaced --
+
+
+def _oracle_restricted_row(tuple4, J, first_pair):
+    i, j, k, l = tuple4
+    p, q = (i, j) if first_pair else (k, l)
+    row = [0] * len(J)
+    for col, label in enumerate(J):
+        if label == p:
+            row[col] = 1
+        elif label == q:
+            row[col] = -1
+    return tuple(row)
+
+
+def _oracle_int_det(rows, cache):
+    """Determinant of a small integer matrix given as a tuple of row
+    tuples, memoized after sorting rows (sign tracked)."""
+    order = sorted(range(len(rows)), key=lambda i: rows[i])
+    sign = 1
+    seen = [False] * len(rows)
+    for start in range(len(rows)):
+        if seen[start]:
+            continue
+        length = 0
+        idx = start
+        while not seen[idx]:
+            seen[idx] = True
+            idx = order[idx]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    key = tuple(rows[i] for i in order)
+    for a, b in zip(key, key[1:]):
+        if a == b:
+            return 0
+    value = cache.get(key)
+    if value is None:
+        value = _bareiss_det([list(row) for row in key])
+        cache[key] = value
+    return sign * value
+
+
+def _oracle_top_c_value(tuple4s, n, cache):
+    """n times the 2^r-term shuffle-determinant sum on the columns
+    {1..n-1}, one determinant per row choice."""
+    r = len(tuple4s)
+    J = tuple(range(1, n))
+    a_rows = [_oracle_restricted_row(t, J, True) for t in tuple4s]
+    b_rows = [_oracle_restricted_row(t, J, False) for t in tuple4s]
+    if any(not any(a) and not any(b) for a, b in zip(a_rows, b_rows)):
+        return 0
+    total = 0
+    for mask in range(2 ** r):
+        left = tuple(a_rows[s] if mask >> s & 1 else b_rows[s]
+                     for s in range(r))
+        d1 = _oracle_int_det(left, cache)
+        if not d1:
+            continue
+        right = tuple(b_rows[s] if mask >> s & 1 else a_rows[s]
+                      for s in range(r))
+        total += d1 * _oracle_int_det(right, cache)
+    return n * total
+
+
+def _oracle_top_table(n):
+    insts = instances(n)
+    cache = {}
+    table = []
+    for multiset in combinations_with_replacement(range(len(insts)), n - 1):
+        counts = {}
+        for idx in multiset:
+            counts[idx] = counts.get(idx, 0) + 1
+        if any(c > 2 for c in counts.values()):
+            continue
+        c = _oracle_top_c_value([insts[idx].tuple4 for idx in multiset], n,
+                                cache)
+        if c:
+            denom = 2 ** sum(count == 2 for count in counts.values())
+            table.append((multiset, Fraction(c, denom)))
+    return table
+
+
+def _oracle_mu(n, r, weight_of, top_only):
+    """The weighted sum in Fractions, one weight_of call per table slot."""
+    insts = instances(n)
+    total = Fraction(0)
+    for multiset, value in mu_table(n, r, top_only=top_only):
+        prod = value
+        for idx in multiset:
+            prod = prod * weight_of(insts[idx])
+        total = prod + total
+    return total
+
+
+class TestPrefixWedgeSearch:
+    def test_top_tables_match_oracle(self):
+        for n in (4, 5):
+            assert mu_table(n, n - 1, top_only=True) == _oracle_top_table(n)
+
+    def test_top_table_n6_sampled_against_gram(self):
+        # present and absent multisets alike against the Gram c-value
+        insts = instances(6)
+        pairs = [p for inst in insts
+                 for p in (inst.tuple4[:2], inst.tuple4[2:])]
+        products = [[_pair_product(p, q) for q in pairs] for p in pairs]
+        table = mu_table(6, 5, top_only=True)
+        values = dict(table)
+        rng = random.Random(11)
+        sample = [m for m, _ in rng.sample(table, 30)]
+        while len(sample) < 60:
+            m = tuple(sorted(rng.choices(range(len(insts)), k=5)))
+            if all(m.count(i) <= 2 for i in m) and m not in values:
+                sample.append(m)
+        for m in sample:
+            doubles = sum(m.count(i) == 2 for i in set(m))
+            assert (values.get(m, 0)
+                    == Fraction(_gram_c_value(products, m), 2 ** doubles))
+
+    def test_search_prunes_vanishing_prefixes(self, monkeypatch):
+        # no wedge below a vanished side, no fold of an empty node
+        wedge, fold = sdet_module._wedge, sdet_module._symmetric_fold
+
+        def checked_wedge(form, row):
+            assert form
+            return wedge(form, row)
+
+        def checked_fold(pairs, r):
+            assert pairs and all(L and R for L, R in pairs)
+            return fold(pairs, r)
+
+        monkeypatch.setattr(sdet_module, "_wedge", checked_wedge)
+        monkeypatch.setattr(sdet_module, "_symmetric_fold", checked_fold)
+        assert sdet_module._top_table(5) == mu_table(5, 4, top_only=True)
+
+    @pytest.mark.slow
+    def test_top_table_n6_matches_oracle(self):
+        assert mu_table(6, 5, top_only=True) == _oracle_top_table(6)
+
+
+class TestWeightedSums:
+    def test_matches_fraction_loop(self):
+        rng = random.Random(12)
+        shapes = [(n, r, False) for n in (4, 5) for r in range(1, n + 1)]
+        shapes += [(n, n - 1, True) for n in (4, 5)]
+        shapes += [(6, r, False) for r in (1, 2, 3)]
+        for n, r, top_only in shapes:
+            for den in (1, 10, 2520):
+                weights = {}
+                for inst in instances(n):
+                    weights[inst] = Fraction(rng.randint(-9, 9),
+                                             rng.choice([d for d in (1, 2, 5,
+                                                                     7, 10,
+                                                                     2520)
+                                                         if den % d == 0]))
+                weights[instances(n)[0]] = Fraction(0)
+                value = mu_from_weights(n, r, weights.__getitem__,
+                                        top_only=top_only)
+                assert type(value) is Fraction
+                assert value == _oracle_mu(n, r, weights.__getitem__,
+                                           top_only)
+
+    def test_fractional_table_values(self, monkeypatch):
+        # every table the theorem gives has integer values; the sum must
+        # still be exact for values with denominators
+        table = [((0, 0), Fraction(1, 2)), ((0, 1), Fraction(-3, 4)),
+                 ((1, 1), Fraction(5))]
+        monkeypatch.setitem(sdet_module._MU_TABLES, (4, 2, False), table)
+        weights = dict(zip(instances(4), (Fraction(2, 3), Fraction(-5, 7))))
+        value = mu_from_weights(4, 2, weights.__getitem__)
+        assert value == _oracle_mu(4, 2, weights.__getitem__, False)
+        assert value == (Fraction(1, 2) * Fraction(4, 9)
+                         + Fraction(3, 4) * Fraction(10, 21)
+                         + 5 * Fraction(25, 49))
 
 
 @st.composite
