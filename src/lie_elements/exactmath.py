@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Union
 
 
@@ -348,9 +349,6 @@ class ExactMatrix:
     def shape(self):
         return (self.rows, self.cols)
 
-    def copy(self) -> "ExactMatrix":
-        return ExactMatrix([row[:] for row in self.data])
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -454,16 +452,7 @@ class ExactMatrix:
     def nullspace(self):
         """Exact basis of the right kernel; empty iff full column rank."""
         reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            vec = [Fraction(0)] * self.cols
-            vec[f] = Fraction(1)
-            for r, pcol in enumerate(pivots):
-                vec[pcol] = -reduced[r][f]
-            basis.append(vec)
-        return basis
+        return _kernel_basis(reduced, pivots, self.cols)
 
     def trace(self):
         if not self.is_square():
@@ -475,23 +464,27 @@ class ExactMatrix:
 
     def charpoly(self):
         """Coefficients c_0..c_n of det(tI - M), monic (c_n = 1), by the
-        Faddeev-LeVerrier recurrence.  Rational entries only."""
+        Faddeev-LeVerrier recurrence.  Rational entries only.  It runs in Z
+        on A = sM, s the lcm of the denominators, whose charpoly has the
+        integer coefficients s^k c_{n-k}: every division by k is exact."""
         if not self.is_square():
             raise DimensionError("charpoly of a non-square matrix")
         if not self._is_rational():
             raise StructureError("charpoly requires rational entries")
         n = self.rows
-        coeffs = [Fraction(0)] * (n + 1)
-        coeffs[n] = Fraction(1)
-        mk = self.copy()
+        ints, scale = _scaled_integers([v for row in self.data for v in row])
+        a = [ints[i * n:(i + 1) * n] for i in range(n)]
+        coeffs = [Fraction(1)]
+        ak = a
         for k in range(1, n + 1):
-            ck = -mk.trace() / k
-            coeffs[n - k] = ck
+            ck = -sum(ak[i][i] for i in range(n)) // k
+            coeffs.append(Fraction(ck, scale ** k))
             if k < n:
-                for i in range(n):
-                    mk.data[i][i] = mk.data[i][i] + ck
-                mk = self @ mk
-        return coeffs
+                # A (A_k + c_k I) = A A_k + c_k A
+                cols = list(zip(*ak))
+                ak = [[sum(map(mul, row, col)) + ck * v
+                       for col, v in zip(cols, row)] for row in a]
+        return coeffs[::-1]
 
     def is_skew_symmetric(self) -> bool:
         if not self.is_square():
@@ -624,6 +617,19 @@ def _forward_pass(rows, ncols):
                 if row:
                     active.append(row)
     return echelon
+
+
+def _kernel_basis(reduced, pivots, ncols):
+    """Kernel vectors of a reduced echelon form (its rows in pivot order),
+    one per free column, with a 1 in that column."""
+    basis = []
+    for f in sorted(set(range(ncols)).difference(pivots)):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row, pcol in zip(reduced, pivots):
+            vec[pcol] = -row[f]
+        basis.append(vec)
+    return basis
 
 
 def _reduced_rows(echelon, ncols):

@@ -18,7 +18,6 @@ from itertools import combinations, combinations_with_replacement
 from typing import Iterator, List, Sequence, Tuple
 
 from .exactmath import ResourceLimitError, StructureError
-from .perm import Permutation
 
 
 class NotAThreeTreeError(ValueError):
@@ -315,18 +314,19 @@ def delta_sign(graph: ThreeGraph, check_reorder: bool = True) -> int:
 
 
 def _delta_from_order(triangles, n: int) -> int:
-    sigma = Permutation.identity(n)
-    for t in triangles:
-        sigma = sigma.compose(Permutation.from_cycles(n, [t]))
+    sigma = list(range(n + 1))      # sigma[i] is the image of i
+    for i, j, k in triangles:
+        # sigma <- sigma * (i j k), the 3-cycle applied first
+        sigma[i], sigma[j], sigma[k] = sigma[j], sigma[k], sigma[i]
     cycle = [1]
-    nxt = sigma(1)
+    nxt = sigma[1]
     while nxt != 1:
         cycle.append(nxt)
-        nxt = sigma(nxt)
+        nxt = sigma[nxt]
     if len(cycle) != n:
         raise NotAThreeTreeError(
             "triangle product is not a single %d-cycle" % n)
-    return Permutation(cycle).sign()
+    return -1 if sum(a > b for a, b in combinations(cycle, 2)) % 2 else 1
 
 
 # -- 4-graphs ------------------------------------------------------------

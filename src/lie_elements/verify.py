@@ -152,14 +152,10 @@ def triple_weights(n: int, seed: Optional[int] = None,
 
 def _skew_form(y: GroupAlgebraElement) -> ExactMatrix:
     """Omega_pq = (b_p, y b_q) in the hyperplane basis b_i = v_i - v_n."""
-    n = y.n
-    Y = action_matrix(y, "permutation")
-    data = [[Fraction(0)] * (n - 1) for _ in range(n - 1)]
-    for q in range(1, n):
-        image = [Y.data[i][q - 1] - Y.data[i][n - 1] for i in range(n)]
-        for p in range(1, n):
-            data[p - 1][q - 1] = image[p - 1] - image[n - 1]
-    return ExactMatrix(data)
+    Y = action_matrix(y, "permutation").data
+    # y b_q has entries Y[i][q] - Y[i][n]; pair them with b_p = v_p - v_n
+    return ExactMatrix([[(row[q] - row[-1]) - (Y[-1][q] - Y[-1][-1])
+                         for q in range(y.n - 1)] for row in Y[:-1]])
 
 
 def verify_pft(n: int, weights: Optional[Dict] = None,
@@ -242,14 +238,12 @@ def quad_weights(n: int, seed: Optional[int] = None) -> Dict:
 
 
 def element_from_quad_weights(n: int, weights: Dict) -> GroupAlgebraElement:
-    z = GroupAlgebraElement.zero(n)
-    for (quad, variant), w in weights.items():
-        i, j, k, l = quad
-        if variant == "T1":
-            z = z + eta(n, i, j, k, l).scale(w)
-        else:
-            z = z + eta(n, i, k, l, j).scale(w)
-    return z
+    terms = {}
+    for ((i, j, k, l), variant), w in weights.items():
+        gen = eta(n, i, j, k, l) if variant == "T1" else eta(n, i, k, l, j)
+        for perm, c in gen.scale(w).terms.items():
+            terms[perm] = terms.get(perm, 0) + c
+    return GroupAlgebraElement(n, terms)
 
 
 def verify_main(n: int, weights: Optional[Dict] = None,

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import List, Optional
 
-from .exactmath import ExactMatrix, ResourceLimitError
+from .exactmath import (ExactMatrix, ResourceLimitError, _forward_pass,
+                        _kernel_basis, _primitive, _reduced_rows,
+                        _scaled_integers, rational)
 from .group_algebra import GroupAlgebraElement
 from .perm import all_permutations
 
@@ -23,9 +26,10 @@ DEFAULT_SOLVER_BOUND = 6
 
 
 class WedgeBasis:
-    """All m-subsets of {1..n}, lexicographic, with index lookup."""
+    """All m-subsets of {1..n}, lexicographic, their bit masks, and the
+    index of each mask."""
 
-    __slots__ = ("n", "m", "subsets", "index")
+    __slots__ = ("n", "m", "subsets", "masks", "index")
 
     def __init__(self, n: int, m: int):
         if not 0 <= m <= n:
@@ -33,74 +37,91 @@ class WedgeBasis:
         self.n = n
         self.m = m
         self.subsets = [tuple(c) for c in combinations(range(1, n + 1), m)]
-        self.index = {s: i for i, s in enumerate(self.subsets)}
+        self.masks = [sum(1 << i for i in s) for s in self.subsets]
+        self.index = {mask: i for i, mask in enumerate(self.masks)}
 
     def __len__(self):
         return len(self.subsets)
 
 
+_basis = lru_cache(maxsize=None)(WedgeBasis)
+
+
 def sort_with_sign(seq):
     """Sort indices, returning (tuple, sign) or None on a repeat.
 
-    The sign counts inversions removed by sorting, i.e. the sign the wedge
+    The sign is the parity of the inversions, i.e. the sign the wedge
     picks up when its factors are reordered."""
-    items = list(seq)
-    sign = 1
-    # insertion sort; m is tiny
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-        if j > 0 and items[j - 1] == items[j]:
-            return None
-    return tuple(items), sign
+    items = tuple(seq)
+    if len(set(items)) < len(items):
+        return None
+    return tuple(sorted(items)), (-1) ** sum(
+        a > b for a, b in combinations(items, 2))
+
+
+def _signed_images(images, m: int):
+    """Both actions of the permutation g with this image tuple on Lambda^m:
+    for each basis subset S, (row, sign) of its multiplicative image and the
+    list of (row, sign) of its derivation images.  Replacing s by g(s) in S
+    passes over the entries of S between them, which gives the sign; a fixed
+    point lands on the diagonal, and a g(s) in S gives zero and is dropped."""
+    basis = _basis(len(images), m)
+    row_of = basis.index
+    out = []
+    for col, (subset, mask) in enumerate(zip(basis.subsets, basis.masks)):
+        seen = inversions = 0
+        derivs = []
+        for s in subset:
+            t = images[s - 1]
+            inversions += (seen >> t).bit_count()
+            seen |= 1 << t
+            if t == s:
+                derivs.append((col, 1))
+            elif not mask >> t & 1:
+                lo, hi = min(s, t), max(s, t)
+                passed = (mask >> lo + 1) & ((1 << hi - lo - 1) - 1)
+                derivs.append((row_of[(mask ^ 1 << s) | 1 << t],
+                               -1 if passed.bit_count() & 1 else 1))
+        out.append(((row_of[seen], -1 if inversions & 1 else 1), derivs))
+    return out
 
 
 def grp_matrix(x: GroupAlgebraElement, m: int) -> ExactMatrix:
     """Matrix of the multiplicative action of x on Lambda^m(Q^n)."""
-    n = x.n
-    basis = WedgeBasis(n, m)
-    if m == 0:
-        return ExactMatrix([[x.coeff_sum()]])
-    size = len(basis)
+    size = len(_basis(x.n, m))
     data = [[Fraction(0)] * size for _ in range(size)]
     for perm, coeff in x.terms.items():
-        for col, subset in enumerate(basis.subsets):
-            sorted_images = sort_with_sign(perm(i) for i in subset)
-            # a permutation never repeats an image
-            image, sign = sorted_images
-            row = basis.index[image]
+        for col, ((row, sign), _) in enumerate(_signed_images(perm.images, m)):
             data[row][col] = data[row][col] + sign * coeff
     return ExactMatrix(data)
 
 
 def alg_matrix(x: GroupAlgebraElement, m: int) -> ExactMatrix:
     """Matrix of the derivation (one-factor-at-a-time) action of x."""
-    n = x.n
-    basis = WedgeBasis(n, m)
-    if m == 0:
-        return ExactMatrix([[Fraction(0)]])
-    size = len(basis)
+    size = len(_basis(x.n, m))
     data = [[Fraction(0)] * size for _ in range(size)]
     for perm, coeff in x.terms.items():
-        for col, subset in enumerate(basis.subsets):
-            for p in range(m):
-                replaced = subset[:p] + (perm(subset[p]),) + subset[p + 1:]
-                sorted_images = sort_with_sign(replaced)
-                if sorted_images is None:
-                    continue
-                image, sign = sorted_images
-                row = basis.index[image]
+        for col, (_, derivs) in enumerate(_signed_images(perm.images, m)):
+            for row, sign in derivs:
                 data[row][col] = data[row][col] + sign * coeff
     return ExactMatrix(data)
 
 
 def is_lie(x: GroupAlgebraElement) -> bool:
-    """True iff the two actions agree on every wedge power m = 0..n."""
+    """True iff the two actions agree on every wedge power m = 0..n.  Over
+    Q: the coefficients are scaled to integers once, and the sparse integer
+    difference of the two actions is checked one m at a time."""
+    ints, _ = _scaled_integers([rational(c) for c in x.terms.values()])
+    terms = list(zip([perm.images for perm in x.terms], ints))
     for m in range(x.n + 1):
-        if grp_matrix(x, m) != alg_matrix(x, m):
+        diff = {}
+        for images, c in terms:
+            for col, ((row, sign), derivs) in enumerate(
+                    _signed_images(images, m)):
+                diff[row, col] = diff.get((row, col), 0) + sign * c
+                for row, sign in derivs:
+                    diff[row, col] = diff.get((row, col), 0) - sign * c
+        if any(diff.values()):
             return False
     return True
 
@@ -119,52 +140,37 @@ def lie_space(n: int, max_n: int = DEFAULT_SOLVER_BOUND) -> LieSpaceResult:
     """Exact basis of the space of Lie elements in Q[S_n].
 
     One unknown per permutation; one homogeneous equation per entry of each
-    (multiplicative - derivation) matrix difference, m = 0..n.  The kernel
-    basis comes from reduced echelon form with unknowns in lexicographic
-    image order, so the output is deterministic.
+    (multiplicative - derivation) matrix difference, m = 0..n, as a
+    primitive sparse integer row for the integer elimination kernel.  The
+    kernel basis comes from reduced echelon form with unknowns in
+    lexicographic image order, so the output is deterministic.
     """
     if n > max_n:
         raise ResourceLimitError(
             "lie_space(%d) exceeds the bound %d" % (n, max_n))
     perms = all_permutations(n)
     rows = []
-    # m = 0: sum of coefficients must vanish
-    rows.append([Fraction(1)] * len(perms))
-    for m in range(1, n + 1):
-        basis = WedgeBasis(n, m)
-        size = len(basis)
+    for m in range(n + 1):
         # blocks[(row, col)][perm index] -> integer coefficient
         blocks = {}
-
-        def _accumulate(image, col, gi, value):
-            entry = blocks.setdefault((basis.index[image], col), {})
-            entry[gi] = entry.get(gi, 0) + value
-
         for gi, perm in enumerate(perms):
-            for col, subset in enumerate(basis.subsets):
-                image, sign = sort_with_sign(perm(i) for i in subset)
-                _accumulate(image, col, gi, sign)
-                for p in range(m):
-                    replaced = subset[:p] + (perm(subset[p]),) + subset[p + 1:]
-                    sorted_images = sort_with_sign(replaced)
-                    if sorted_images is None:
-                        continue
-                    image, sign = sorted_images
-                    _accumulate(image, col, gi, -sign)
+            for col, ((row, sign), derivs) in enumerate(
+                    _signed_images(perm.images, m)):
+                entry = blocks.setdefault((row, col), {})
+                entry[gi] = entry.get(gi, 0) + sign
+                for row, sign in derivs:
+                    entry = blocks.setdefault((row, col), {})
+                    entry[gi] = entry.get(gi, 0) - sign
         for key in sorted(blocks):
-            entry = blocks[key]
-            if any(entry.values()):
-                row = [Fraction(0)] * len(perms)
-                for gi, val in entry.items():
-                    row[gi] = Fraction(val)
-                rows.append(row)
-    system = ExactMatrix(rows)
-    kernel = system.nullspace()
-    basis = []
-    for vec in kernel:
-        terms = {perms[i]: c for i, c in enumerate(vec) if c}
-        basis.append(GroupAlgebraElement(n, terms))
-    return LieSpaceResult(n=n, basis=basis)
+            row = {gi: v for gi, v in blocks[key].items() if v}
+            if row:
+                rows.append(_primitive(row))
+    echelon = _forward_pass(rows, len(perms))
+    kernel = _kernel_basis(_reduced_rows(echelon, len(perms)),
+                           sorted(echelon), len(perms))
+    return LieSpaceResult(n=n, basis=[
+        GroupAlgebraElement(n, {perms[i]: c for i, c in enumerate(vec) if c})
+        for vec in kernel])
 
 
 def action_matrix(x: GroupAlgebraElement, representation: str = "permutation"
@@ -172,30 +178,24 @@ def action_matrix(x: GroupAlgebraElement, representation: str = "permutation"
     """Matrix of x on Q^n ("permutation") or on the zero-sum hyperplane
     ("reflection", basis v_i - v_n for i = 1..n-1)."""
     n = x.n
-    if representation == "permutation":
-        return grp_matrix(x, 1)
+    if representation not in ("permutation", "reflection"):
+        raise ValueError("unknown representation %r" % representation)
+    data = [[Fraction(0)] * n for _ in range(n)]
+    for perm, coeff in x.terms.items():
+        for i, img in enumerate(perm.images):
+            data[img - 1][i] = data[img - 1][i] + coeff
     if representation == "reflection":
-        data = [[Fraction(0)] * (n - 1) for _ in range(n - 1)]
-        for perm, coeff in x.terms.items():
-            for j in range(1, n):
-                # x (v_j - v_n) = sum_g a_g (v_{g(j)} - v_{g(n)})
-                img_j, img_n = perm(j), perm(n)
-                if img_j < n:
-                    data[img_j - 1][j - 1] = data[img_j - 1][j - 1] + coeff
-                if img_n < n:
-                    data[img_n - 1][j - 1] = data[img_n - 1][j - 1] - coeff
-        return ExactMatrix(data)
-    raise ValueError("unknown representation %r" % representation)
+        # x (v_j - v_n) is column j minus column n, and a zero-sum vector
+        # has its first n - 1 entries as coordinates
+        data = [[row[j] - row[-1] for j in range(n - 1)] for row in data[:-1]]
+    return ExactMatrix(data)
 
 
 def action_rank(elements) -> int:
     """Rank of the permutation actions of the elements on Q^n, each n x n
     matrix flattened into one row."""
-    rows = []
-    for x in elements:
-        mat = action_matrix(x, "permutation")
-        rows.append([v for row in mat.data for v in row])
-    return ExactMatrix(rows).rank()
+    return ExactMatrix([[v for row in action_matrix(x).data for v in row]
+                        for x in elements]).rank()
 
 
 def kernel_dim(n: int, max_n: int = DEFAULT_SOLVER_BOUND,

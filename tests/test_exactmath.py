@@ -537,3 +537,43 @@ class TestGrlexRank:
         p = (x + y + 1) ** 2
         assert str(p) == "x^2 + 2*x*y + y^2 + 2*x + 2*y + 1"
         assert str(x * y * y - x * x + y) == "x*y^2 - x^2 + y"
+
+
+def fraction_charpoly(m):
+    """Faddeev-LeVerrier on Fraction matrices, kept as an oracle."""
+    n = m.rows
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    mk = ExactMatrix([row[:] for row in m.data])
+    for k in range(1, n + 1):
+        ck = -mk.trace() / k
+        coeffs[n - k] = ck
+        if k < n:
+            for i in range(n):
+                mk.data[i][i] = mk.data[i][i] + ck
+            mk = m @ mk
+    return coeffs
+
+
+wide_rationals = st.fractions(min_value=-60, max_value=60,
+                              max_denominator=2520)
+wide_square_matrices = st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.lists(st.one_of(st.just(Fraction(0)),
+                                          wide_rationals),
+                                min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+class TestCharpolyOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(wide_square_matrices)
+    def test_matches_fraction_recurrence(self, a):
+        m = ExactMatrix(a)
+        assert m.charpoly() == fraction_charpoly(m)
+
+    def test_common_denominator(self):
+        m = ExactMatrix([[Fraction(1, 2), Fraction(1, 3)],
+                         [Fraction(-1, 6), Fraction(5, 4)]])
+        cp = m.charpoly()
+        assert cp == fraction_charpoly(m)
+        assert cp == [m.det(), -m.trace(), Fraction(1)]

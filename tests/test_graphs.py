@@ -1,11 +1,13 @@
 import random
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 
 import pytest
 
 from lie_elements.exactmath import MultiPoly, StructureError
+from lie_elements.perm import Permutation
 from lie_elements.graphs import (FourGraph, LabeledTree, NotAThreeTreeError,
                                  ResourceLimitError, ThreeGraph, delta_sign,
                                  enumerate_four_graphs, enumerate_three_trees,
@@ -182,6 +184,57 @@ class TestDeltaSign:
     def test_not_a_tree_rejected(self):
         with pytest.raises(NotAThreeTreeError):
             delta_sign(ThreeGraph(5, ((1, 2, 3), (1, 2, 4))))
+
+
+def permutation_delta(triangles, n, check_reorder=True):
+    """delta_sign by composing Permutation objects, kept as an oracle."""
+    def from_order(order):
+        sigma = Permutation.identity(n)
+        for t in order:
+            sigma = sigma.compose(Permutation.from_cycles(n, [t]))
+        cycle = [1]
+        nxt = sigma(1)
+        while nxt != 1:
+            cycle.append(nxt)
+            nxt = sigma(nxt)
+        if len(cycle) != n:
+            raise NotAThreeTreeError("not a single %d-cycle" % n)
+        return Permutation(cycle).sign()
+
+    value = from_order(triangles)
+    if check_reorder and len(triangles) > 1:
+        if from_order(tuple(reversed(triangles))) != value:
+            raise NotAThreeTreeError("sign depends on the edge order")
+    return value
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotAThreeTreeError:
+        return "not a 3-tree"
+
+
+class TestDeltaSignOracle:
+    def test_every_three_tree(self):
+        for m in (1, 2, 3):
+            trees = list(enumerate_three_trees(m))
+            for g in trees:
+                assert delta_sign(g) == permutation_delta(g.triangles, g.n)
+                for order in permutations(g.triangles):
+                    assert (delta_sign(ThreeGraph(g.n, order), False)
+                            == permutation_delta(order, g.n, False))
+            assert len(trees) == (1, 15, 735)[m - 1]
+
+    def test_every_triangle_multiset(self):
+        # 3-trees and non-trees alike: the same sign or the same rejection
+        for m in (1, 2, 3):
+            n = 2 * m + 1
+            triples = list(combinations(range(1, n + 1), 3))
+            for chosen in combinations_with_replacement(triples, m):
+                g = ThreeGraph(n, chosen)
+                assert (_outcome(delta_sign, g)
+                        == _outcome(permutation_delta, g.triangles, n))
 
 
 class TestFourGraphs:

@@ -10,9 +10,13 @@ import pytest
 import lie_elements.verify as verify_mod
 
 from lie_elements.exactmath import ExactMatrix, MultiPoly
-from lie_elements.verify import (conjecture_report, pair_weights,
-                                 triple_weights, verify_iota, verify_main,
-                                 verify_mtt, verify_pft, verify_rank2)
+from lie_elements.group_algebra import GroupAlgebraElement
+from lie_elements.lie_generators import eta
+from lie_elements.verify import (conjecture_report,
+                                 element_from_quad_weights, pair_weights,
+                                 quad_weights, triple_weights, verify_iota,
+                                 verify_main, verify_mtt, verify_pft,
+                                 verify_rank2)
 
 
 class TestReports:
@@ -213,3 +217,36 @@ class TestConjectures:
         monkeypatch.setattr("lie_elements.wedge_rep.lie_space", counting)
         assert conjecture_report(4).details["dim_kernel"] == 4
         assert calls == [4]
+
+
+def summed_quad_element(n, weights):
+    """The quad-weighted element as a running sum, kept as an oracle."""
+    z = GroupAlgebraElement.zero(n)
+    for (quad, variant), w in weights.items():
+        i, j, k, l = quad
+        if variant == "T1":
+            z = z + eta(n, i, j, k, l).scale(w)
+        else:
+            z = z + eta(n, i, k, l, j).scale(w)
+    return z
+
+
+class TestElementFromQuadWeights:
+    def test_matches_running_sum(self):
+        for n in (4, 5, 6):
+            for seed in (0, 1, 7, 19):
+                weights = quad_weights(n, seed=seed)
+                assert (element_from_quad_weights(n, weights)
+                        == summed_quad_element(n, weights))
+
+    def test_cancelling_and_symbolic_weights(self):
+        quad = (1, 2, 3, 4)
+        # a zero weight adds nothing, and no weights give the zero element
+        weights = {(quad, "T1"): Fraction(3, 7), (quad, "T2"): 0}
+        z = element_from_quad_weights(4, weights)
+        assert z == summed_quad_element(4, weights)
+        assert element_from_quad_weights(4, {}) == GroupAlgebraElement.zero(4)
+        symbolic = {(quad, "T1"): MultiPoly.variable("w"),
+                    (quad, "T2"): MultiPoly.variable("x")}
+        assert (element_from_quad_weights(4, symbolic)
+                == summed_quad_element(4, symbolic))

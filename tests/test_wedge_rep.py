@@ -1,17 +1,19 @@
 import random
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
-from lie_elements.exactmath import ExactMatrix
+from lie_elements.exactmath import ExactMatrix, MultiPoly
 from lie_elements.group_algebra import GroupAlgebraElement
-from lie_elements.lie_generators import kappa, nu
+from lie_elements.lie_generators import eta, kappa, lie_closure, nu
 from lie_elements.perm import Permutation, all_permutations
 from lie_elements.wedge_rep import (ResourceLimitError, WedgeBasis,
                                     action_matrix, action_rank, alg_matrix,
                                     grp_matrix, is_lie, kernel_dim,
-                                    lie_space, sort_with_sign)
+                                    lie_space, sort_with_sign,
+                                    _signed_images)
 
 
 class TestWedgeBasis:
@@ -176,3 +178,187 @@ class TestKernelDim:
 class TestLieSpaceN6:
     def test_dim(self):
         assert lie_space(6).dim == 493
+
+
+# -- the dense Fraction path, kept as an oracle for the integer kernel -----
+
+
+def _dense_basis(n, m):
+    subsets = [tuple(c) for c in combinations(range(1, n + 1), m)]
+    return subsets, {s: i for i, s in enumerate(subsets)}
+
+
+def dense_grp_matrix(x, m):
+    """The multiplicative action, entry by entry through sort_with_sign."""
+    subsets, index = _dense_basis(x.n, m)
+    data = [[Fraction(0)] * len(subsets) for _ in subsets]
+    for perm, coeff in x.terms.items():
+        for col, subset in enumerate(subsets):
+            image, sign = sort_with_sign(perm(i) for i in subset)
+            data[index[image]][col] += sign * coeff
+    return ExactMatrix(data)
+
+
+def dense_alg_matrix(x, m):
+    """The derivation action, one replaced factor at a time."""
+    subsets, index = _dense_basis(x.n, m)
+    data = [[Fraction(0)] * len(subsets) for _ in subsets]
+    for perm, coeff in x.terms.items():
+        for col, subset in enumerate(subsets):
+            for p in range(m):
+                replaced = subset[:p] + (perm(subset[p]),) + subset[p + 1:]
+                sorted_images = sort_with_sign(replaced)
+                if sorted_images is None:
+                    continue
+                image, sign = sorted_images
+                data[index[image]][col] += sign * coeff
+    return ExactMatrix(data)
+
+
+def dense_is_lie(x):
+    for m in range(x.n + 1):
+        if dense_grp_matrix(x, m) != dense_alg_matrix(x, m):
+            return False
+    return True
+
+
+def _generators(n):
+    labels = range(1, n + 1)
+    return ([kappa(n, *t) for t in combinations(labels, 2)]
+            + [nu(n, *t) for t in permutations(labels, 3)]
+            + [eta(n, *t) for t in permutations(labels, 4)])
+
+
+def _divisors(d):
+    return [k for k in range(1, d + 1) if d % k == 0]
+
+
+class TestSignedImages:
+    def test_sums_match_dense_matrices(self):
+        # every permutation of degree <= 5 at every m: the helper's images,
+        # summed, are the dense multiplicative and derivation matrices
+        for n in range(1, 6):
+            for perm in all_permutations(n):
+                x = GroupAlgebraElement.from_permutation(perm)
+                for m in range(n + 1):
+                    size = len(WedgeBasis(n, m))
+                    grp = [[0] * size for _ in range(size)]
+                    alg = [[0] * size for _ in range(size)]
+                    for col, ((row, sign), derivs) in enumerate(
+                            _signed_images(perm.images, m)):
+                        grp[row][col] += sign
+                        for r, s in derivs:
+                            alg[r][col] += s
+                    assert ExactMatrix(grp) == dense_grp_matrix(x, m)
+                    assert ExactMatrix(alg) == dense_alg_matrix(x, m)
+                    assert grp_matrix(x, m) == dense_grp_matrix(x, m)
+                    assert alg_matrix(x, m) == dense_alg_matrix(x, m)
+
+    def test_rational_combinations_match_dense_matrices(self):
+        rng = random.Random(71)
+        for n in range(1, 6):
+            perms = all_permutations(n)
+            for _ in range(3):
+                x = GroupAlgebraElement(n, {
+                    rng.choice(perms): Fraction(rng.randint(-9, 9),
+                                                rng.choice((1, 10, 2520)))
+                    for _ in range(4)})
+                for m in range(n + 1):
+                    assert grp_matrix(x, m) == dense_grp_matrix(x, m)
+                    assert alg_matrix(x, m) == dense_alg_matrix(x, m)
+
+    def test_degree_out_of_range(self):
+        with pytest.raises(ValueError):
+            grp_matrix(GroupAlgebraElement.zero(3), 4)
+        with pytest.raises(ValueError):
+            alg_matrix(GroupAlgebraElement.zero(3), -1)
+
+
+class TestIsLieAgainstDense:
+    def test_generators(self):
+        for n in range(1, 6):
+            for x in _generators(n):
+                assert is_lie(x) == dense_is_lie(x) is True
+
+    def test_seeded_rational_combinations(self):
+        rng = random.Random(73)
+        for n in range(2, 6):
+            gens = _generators(n)
+            perms = all_permutations(n)
+            for d in (1, 10, 2520):
+                for _ in range(6):
+                    x = GroupAlgebraElement.zero(n)
+                    for g in rng.sample(gens, min(3, len(gens))):
+                        x = x + g.scale(Fraction(rng.randint(-9, 9),
+                                                 rng.choice(_divisors(d))))
+                    if rng.random() < 0.5:
+                        x = x + GroupAlgebraElement.from_permutation(
+                            rng.choice(perms),
+                            Fraction(rng.randint(1, 9), d))
+                    assert is_lie(x) == dense_is_lie(x)
+
+    def test_lie_elements_with_small_perturbation(self):
+        rng = random.Random(79)
+        verdicts = []
+        for n in range(2, 6):
+            perms = all_permutations(n)
+            for b in lie_closure(_generators(n)[:4], n):
+                assert is_lie(b) and dense_is_lie(b)
+                g, h = rng.sample(perms, 2)
+                eps = Fraction(1, rng.choice((10, 2520)))
+                x = (b + GroupAlgebraElement.from_permutation(g, eps)
+                     - GroupAlgebraElement.from_permutation(h, eps))
+                verdicts.append(is_lie(x))
+                assert verdicts[-1] == dense_is_lie(x)
+        assert not all(verdicts)
+
+    def test_fails_only_at_m0(self):
+        # in degree 1 the identity agrees at m = 1 and fails only at m = 0;
+        # for n >= 2 no such element exists (the m = 2 equations force a
+        # zero coefficient sum), which test_lower_equations_imply_all checks
+        x = GroupAlgebraElement.one(1).scale(Fraction(3, 10))
+        assert dense_grp_matrix(x, 1) == dense_alg_matrix(x, 1)
+        assert dense_grp_matrix(x, 0) != dense_alg_matrix(x, 0)
+        assert not is_lie(x) and not dense_is_lie(x)
+        assert is_lie(GroupAlgebraElement.zero(1))
+
+    def test_sign_element_fails_first_at_top_degrees(self):
+        # sum of sign(g) g acts by zero on Q^n, so its derivation action
+        # vanishes; its multiplicative action is nonzero exactly where the
+        # sign representation occurs, Lambda^(n-1) and Lambda^n
+        for n in range(3, 6):
+            x = GroupAlgebraElement(n, {p: p.sign()
+                                        for p in all_permutations(n)})
+            agree = [dense_grp_matrix(x, m) == dense_alg_matrix(x, m)
+                     for m in range(n + 1)]
+            assert agree == [True] * (n - 1) + [False, False]
+            assert not is_lie(x)
+
+    def test_lower_equations_imply_all(self):
+        # no element first fails at m = n: with the m = 0 equation, the
+        # m < n equations already cut out the Lie space (and for n >= 2 the
+        # m >= 1 equations do too), so those elements cannot be built
+        for n in range(2, 5):
+            perms = all_permutations(n)
+
+            def rows(degrees):
+                out = []
+                for m in degrees:
+                    cols = []
+                    for p in perms:
+                        x = GroupAlgebraElement.from_permutation(p)
+                        diff = dense_grp_matrix(x, m) - dense_alg_matrix(x, m)
+                        cols.append([v for row in diff.data for v in row])
+                    out.extend(list(r) for r in zip(*cols))
+                return out
+
+            full = ExactMatrix(rows(range(n + 1))).rank()
+            assert len(perms) - full == lie_space(n).dim
+            assert ExactMatrix(rows(range(n))).rank() == full
+            assert ExactMatrix(rows(range(1, n + 1))).rank() == full
+
+    def test_polynomial_coefficient_rejected(self):
+        x = GroupAlgebraElement(2, {Permutation.identity(2):
+                                    MultiPoly.variable("w")})
+        with pytest.raises(TypeError):
+            is_lie(x)
