@@ -15,16 +15,14 @@ import io
 import json
 import sys
 
-from fractions import Fraction
 from itertools import permutations as iter_permutations
 from typing import Optional
 
 from . import graphs, sdet as sdet_mod, verify as verify_mod, wedge_rep
 from .exactmath import DimensionError, ExactMatrix, ResourceLimitError, \
     StructureError, rational
-from .group_algebra import GroupAlgebraElement
 from .lie_generators import all_kappas, lie_closure
-from .perm import Permutation
+from .perm import inversion_sign
 
 
 class InputError(ValueError):
@@ -87,7 +85,7 @@ def load_weights(path: str, n: Optional[int] = None):
     triples = {}
     for i, j, k, w in _weight_rows(raw, "triples", 3, 1, n):
         key = tuple(sorted((i, j, k)))
-        value = w * Permutation(_relabel((i, j, k))).sign()
+        value = w * inversion_sign((i, j, k))
         if key in triples and triples[key] != value:
             raise WeightConflictError("triple %r given inconsistently"
                                       % (key,))
@@ -104,26 +102,10 @@ def load_weights(path: str, n: Optional[int] = None):
     return {"pairs": pairs, "triples": triples, "quads": quads}
 
 
-def _relabel(indices):
-    """Images of the permutation sorting 1..len onto the given order."""
-    order = sorted(range(len(indices)), key=lambda p: indices[p])
-    images = [0] * len(indices)
-    for rank, pos in enumerate(order):
-        images[pos] = rank + 1
-    return images
-
-
-def _quad_weight_table(n, quads):
-    out = {}
-    for key, (w1, w2) in quads.items():
-        out[(key, "T1")] = w1
-        out[(key, "T2")] = w2
-    # missing quads default to zero weight
-    from itertools import combinations
-    for q in combinations(range(1, n + 1), 4):
-        out.setdefault((q, "T1"), Fraction(0))
-        out.setdefault((q, "T2"), Fraction(0))
-    return out
+def _quad_weight_table(quads):
+    """verify_main's weight table: one key per (quad, variant)."""
+    return {(key, variant): w for key, pair in quads.items()
+            for variant, w in zip(("T1", "T2"), pair)}
 
 
 def _emit(records, fmt, out):
@@ -172,7 +154,7 @@ def _run_verify(args) -> int:
                 args.n, weights=weights, seed=seed,
                 symbolic=args.symbolic))
         elif args.target == "main":
-            weights = (_quad_weight_table(args.n, tables["quads"])
+            weights = (_quad_weight_table(tables["quads"])
                        if tables else None)
             reports.append(verify_mod.verify_main(
                 args.n, weights=weights, seed=seed))
@@ -289,7 +271,7 @@ def _run_enumerate(args) -> int:
 
 
 def _bound(args, default: int) -> int:
-    if getattr(args, "allow_heavy", False):
+    if args.allow_heavy:
         sys.stderr.write("warning: resource bounds lifted\n")
         return 99
     return default
@@ -302,7 +284,6 @@ def _add_common(parser):
     parser.add_argument("--format", choices=("text", "json", "csv"),
                         default="text")
     parser.add_argument("--out", default=None)
-    parser.add_argument("--allow-heavy", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,6 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=("dim", "basis", "closure"))
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
+    p.add_argument("--allow-heavy", action="store_true",
+                   help="lift the resource bounds")
     p.set_defaults(func=_run_lie)
 
     p = sub.add_parser("conjectures", help="dimension reports")
@@ -351,6 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--r", type=int, default=None)
     _add_common(p)
+    p.add_argument("--allow-heavy", action="store_true",
+                   help="lift the resource bounds")
     p.set_defaults(func=_run_enumerate)
     return parser
 

@@ -1,7 +1,7 @@
 """Exact arithmetic kernels: rationals, sparse multivariate polynomials and
 dense matrices over either, with determinant / charpoly / Pfaffian / nullspace,
-the fraction-free determinant kernel behind every det, and the integer
-elimination kernel behind rref.
+the fraction-free determinant kernel behind every det, and one incremental
+integer echelon, _insert, behind rref, rank, nullspace and every span.
 
 No floating point anywhere; every operation is exact over Q or Q[w, x, ...].
 """
@@ -430,24 +430,27 @@ class ExactMatrix:
             rows.append(ints)
         return Fraction(_bareiss_det(rows), scale)
 
+    def _echelon(self):
+        if not self._is_rational():
+            raise StructureError("rref and rank need rational entries")
+        return _forward_pass(_integer_row(dict(enumerate(row)))
+                             for row in self.data)
+
     def rref(self):
         """Reduced row echelon form (over rationals).
 
         Returns (matrix-as-lists, pivot column list); the rows after the
         rank are zero.  Computed by the integer elimination kernel below,
         so no Fraction arithmetic happens before the final division."""
-        if not self._is_rational():
-            raise StructureError("rref is implemented over rationals only")
-        echelon = _forward_pass([_integer_row(row) for row in self.data],
-                                self.cols)
-        pivots = sorted(echelon)
+        echelon = self._echelon()
         reduced = _reduced_rows(echelon, self.cols)
         reduced.extend([Fraction(0)] * self.cols
-                       for _ in range(self.rows - len(pivots)))
-        return reduced, pivots
+                       for _ in range(self.rows - len(echelon)))
+        return reduced, sorted(echelon)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """The rank, from the echelon form alone."""
+        return len(self._echelon())
 
     def nullspace(self):
         """Exact basis of the right kernel; empty iff full column rank."""
@@ -552,13 +555,15 @@ def _bareiss_det(rows):
     return sign * rows[-1][-1]
 
 
-# -- integer elimination kernel -------------------------------------------
+# -- the incremental integer echelon --------------------------------------
 #
 # Rows are sparse primitive integer rows {col: int}.  A row of rationals is
 # scaled by the lcm of its denominators and divided by the gcd of its
-# numerators, which leaves its row space unchanged.  Every elimination step
-# is fraction-free (Bareiss 1968): an integer combination of two rows,
-# divided by its content.  The pivots are divided out once, at the end.
+# numerators, which leaves its row space unchanged.  An echelon is a dict
+# {pivot col: row}, and _insert is the one place a row is reduced against
+# it.  Every elimination step is fraction-free (Bareiss 1968): an integer
+# combination of two rows, divided by its content.  The pivots are divided
+# out once, at the end, by the back substitution of _reduced_rows.
 
 
 def _primitive(row):
@@ -570,9 +575,9 @@ def _primitive(row):
 
 
 def _integer_row(values):
-    """Primitive integer row with the row space of the rational `values`;
-    {} for a zero row."""
-    row = {c: v for c, v in enumerate(values) if v}
+    """Primitive integer row with the row space of the rational {col: value}
+    mapping; {} for a zero row."""
+    row = {c: v for c, v in values.items() if v}
     if not row:
         return row
     ints, _ = _scaled_integers(row.values())
@@ -596,26 +601,27 @@ def _eliminate(row, pivot_row, col):
     return _primitive(out) if out else out
 
 
-def _forward_pass(rows, ncols):
-    """Echelon form of the integer rows as {pivot col: row}; each row is
-    zero left of its pivot.  Column by column, the sparsest row with an
-    entry in the column becomes its pivot and clears it from the rest."""
-    active = [row for row in rows if row]
+def _insert(echelon, row) -> bool:
+    """Reduce the primitive integer row by the pivots of the echelon
+    {pivot col: row}, in ascending order, and keep what is left under its
+    least column; True iff the row enlarged the span.  Each pivot row is
+    zero left of its pivot, so a step clears its column and touches only
+    columns to the right: what is left is free of every pivot column."""
+    for col in sorted(echelon):
+        if col in row:
+            row = _eliminate(row, echelon[col], col)
+    if not row:
+        return False
+    echelon[min(row)] = row
+    return True
+
+
+def _forward_pass(rows):
+    """Echelon form {pivot col: row} of the integer rows, inserted in
+    order; each row is zero left of its pivot."""
     echelon = {}
-    for col in range(ncols):
-        if not active:
-            break
-        hits = [row for row in active if col in row]
-        if not hits:
-            continue
-        pivot_row = min(hits, key=len)
-        echelon[col] = pivot_row
-        active = [row for row in active if col not in row]
-        for row in hits:
-            if row is not pivot_row:
-                row = _eliminate(row, pivot_row, col)
-                if row:
-                    active.append(row)
+    for row in rows:
+        _insert(echelon, row)
     return echelon
 
 

@@ -12,12 +12,13 @@ polynomial expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from .exactmath import ResourceLimitError, StructureError
+from .perm import inversion_sign
 
 
 class NotAThreeTreeError(ValueError):
@@ -326,7 +327,7 @@ def _delta_from_order(triangles, n: int) -> int:
     if len(cycle) != n:
         raise NotAThreeTreeError(
             "triangle product is not a single %d-cycle" % n)
-    return -1 if sum(a > b for a, b in combinations(cycle, 2)) % 2 else 1
+    return inversion_sign(cycle)
 
 
 # -- 4-graphs ------------------------------------------------------------

@@ -10,18 +10,12 @@ import json
 
 from fractions import Fraction
 
-from .exactmath import MultiPoly, rational
+from .exactmath import _as_coeff, rational
 from .perm import DegreeMismatchError, Permutation
 
 
 class UnsupportedUnitError(ValueError):
     """Conjugation is supported by single group elements only."""
-
-
-def _coeff(value):
-    if isinstance(value, MultiPoly):
-        return value
-    return rational(value)
 
 
 class GroupAlgebraElement:
@@ -37,7 +31,7 @@ class GroupAlgebraElement:
                 if perm.n != n:
                     raise DegreeMismatchError(
                         "permutation of degree %d in Q[S_%d]" % (perm.n, n))
-                coeff = _coeff(coeff)
+                coeff = _as_coeff(coeff)
                 if coeff:
                     clean[perm] = clean.get(perm, Fraction(0)) + coeff
                     if not clean[perm]:
@@ -92,7 +86,7 @@ class GroupAlgebraElement:
         return out
 
     def scale(self, factor) -> "GroupAlgebraElement":
-        factor = _coeff(factor)
+        factor = _as_coeff(factor)
         if not factor:
             return GroupAlgebraElement.zero(self.n)
         out = GroupAlgebraElement.__new__(GroupAlgebraElement)

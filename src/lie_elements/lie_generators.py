@@ -11,13 +11,12 @@ reports.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as index_permutations
 from typing import List, Sequence, Tuple
 
-from .exactmath import (ExactMatrix, ResourceLimitError, _eliminate,
+from .exactmath import (ExactMatrix, ResourceLimitError, _insert,
                         _integer_row, _reduced_rows)
 from .group_algebra import GroupAlgebraElement
 from .perm import Permutation, all_permutations
@@ -73,32 +72,24 @@ def element_vector(x: GroupAlgebraElement, perms) -> List[Fraction]:
 def span_rank(elements: Sequence[GroupAlgebraElement]) -> int:
     if not elements:
         return 0
-    perms = all_permutations(elements[0].n)
-    return ExactMatrix([element_vector(x, perms) for x in elements]).rank()
+    echelon = _Echelon(elements[0].n)
+    return sum(echelon.insert(x) for x in elements)
 
 
 class _Echelon:
-    """Incremental echelon basis over permutation coordinates, kept as
-    primitive integer rows keyed by pivot (the kernel of ExactMatrix.rref);
+    """Incremental echelon basis of a span in Q[S_n], kept as primitive
+    integer rows over permutation columns (the kernel of ExactMatrix.rref);
     elements() is the reduced echelon basis of the span."""
 
     def __init__(self, n: int):
         self.perms = all_permutations(n)
-        self.rows = {}      # pivot index -> integer row
-        self.pivots = []    # ascending
+        self.column = {p: i for i, p in enumerate(self.perms)}
+        self.rows = {}      # pivot column -> integer row
 
-    def insert(self, vec) -> bool:
-        """Reduce and insert; True if the vector enlarged the span."""
-        row = _integer_row(vec)
-        for pivot in self.pivots:
-            if pivot in row:
-                row = _eliminate(row, self.rows[pivot], pivot)
-        if not row:
-            return False
-        pivot = min(row)
-        self.rows[pivot] = row
-        insort(self.pivots, pivot)
-        return True
+    def insert(self, x: GroupAlgebraElement) -> bool:
+        """Reduce and insert; True if the element enlarged the span."""
+        return _insert(self.rows, _integer_row(
+            {self.column[p]: c for p, c in x.terms.items()}))
 
     def elements(self, n):
         out = []
@@ -106,6 +97,18 @@ class _Echelon:
             terms = {self.perms[i]: c for i, c in enumerate(row) if c}
             out.append(GroupAlgebraElement(n, terms))
         return out
+
+
+def span_contains(basis: Sequence[GroupAlgebraElement],
+                  elements: Sequence[GroupAlgebraElement]) -> bool:
+    """True iff every element lies in the span of the basis: the basis is
+    inserted once, then no element may enlarge the echelon."""
+    if not elements:
+        return True
+    echelon = _Echelon(elements[0].n)
+    for b in basis:
+        echelon.insert(b)
+    return not any(echelon.insert(x) for x in elements)
 
 
 # -- relations and representations ----------------------------------------
@@ -195,61 +198,23 @@ def index_rep_matrices(n: int = 4) -> List[ExactMatrix]:
             for a in (1, 2, 3)]
 
 
-def _invariant_line_form(m: ExactMatrix):
-    """Binary quadratic q(x, y) whose roots in P^1 are the invariant lines
-    of the 2x2 matrix m: (M v) wedge v for v = (x, y)."""
-    a, b = m.data[0]
-    c, d = m.data[1]
-    # (ax+by, cx+dy) wedge (x, y) = (ax+by)y - (cx+dy)x
-    return (-c, a - d, b)  # coefficients of x^2, xy, y^2
-
-
-def _poly_gcd(p, q):
-    """Monic gcd of univariate polynomials given as low-to-high Fraction
-    coefficient tuples."""
-    def norm(u):
-        u = list(u)
-        while u and not u[-1]:
-            u.pop()
-        return u
-
-    p, q = norm(p), norm(q)
-    while q:
-        # p mod q
-        r = p[:]
-        while len(r) >= len(q) and any(r):
-            if not r[-1]:
-                r.pop()
-                continue
-            factor = r[-1] / q[-1]
-            shift = len(r) - len(q)
-            for t in range(len(q)):
-                r[shift + t] -= factor * q[t]
-            r.pop()
-        p, q = q, norm(r)
-    if p:
-        lead = p[-1]
-        p = [v / lead for v in p]
-    return p
+def _no_common_line(matrices) -> bool:
+    """True iff the 2x2 rational matrices have no common invariant line
+    over the algebraic closure.  By Burnside's theorem that holds iff they
+    generate all 2x2 matrices, i.e. iff their words span 4 dimensions.  The
+    span of the words of length <= k grows with k until it stops, and it
+    starts at 1, so the words of length <= 3 already span the algebra."""
+    words = layer = [ExactMatrix.identity(2)]
+    for _ in range(3):
+        layer = [w @ m for w in layer for m in matrices]
+        words = words + layer
+    return ExactMatrix([w.data[0] + w.data[1] for w in words]).rank() == 4
 
 
 def no_invariant_line(n: int = 4) -> bool:
     """True iff the index-permutation action on the eta span admits no
-    common invariant line over the algebraic closure.
-
-    Each 2x2 matrix fixes the line through (x, y) iff the binary quadratic
-    (M v) wedge v vanishes; a common line is a common projective root of
-    the three quadratics, detected exactly by polynomial gcds over Q."""
-    forms = [_invariant_line_form(m) for m in index_rep_matrices(n)]
-    # root at infinity (y = 0, the line through (1, 0)): needs x^2 coeff 0
-    if all(f[0] == 0 for f in forms):
-        return False
-    # affine roots: gcd of the dehomogenized quadratics in x (y = 1)
-    polys = [(Fraction(f[2]), Fraction(f[1]), Fraction(f[0])) for f in forms]
-    g = polys[0]
-    for q in polys[1:]:
-        g = _poly_gcd(g, q)
-    return len(g) <= 1
+    common invariant line over the algebraic closure."""
+    return _no_common_line(index_rep_matrices(n))
 
 
 # -- bracket closure and repeated commutators ------------------------------
@@ -269,15 +234,14 @@ def lie_closure(generators: Sequence[GroupAlgebraElement], n: int,
     echelon = _Echelon(n)
     frontier = []
     for g in generators:
-        if echelon.insert(element_vector(g, echelon.perms)):
+        if echelon.insert(g):
             frontier.append(g)
     while frontier:
         new_frontier = []
         for x in frontier:
             for g in generators:
                 y = x.bracket(g)
-                if not y.is_zero() and echelon.insert(
-                        element_vector(y, echelon.perms)):
+                if echelon.insert(y):
                     new_frontier.append(y)
         frontier = new_frontier
     return echelon.elements(n)

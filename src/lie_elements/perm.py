@@ -7,7 +7,7 @@ which (12)(23) = (123).
 
 from __future__ import annotations
 
-from itertools import permutations as _itertools_permutations
+from itertools import combinations, permutations as _itertools_permutations
 
 
 class InvalidCycleError(ValueError):
@@ -128,6 +128,12 @@ class Permutation:
         if not cyc:
             return "()"
         return "".join("(" + " ".join(str(i) for i in c) + ")" for c in cyc)
+
+
+def inversion_sign(seq) -> int:
+    """The parity of the inversions of a sequence of distinct values, i.e.
+    the sign of the permutation that sorts it."""
+    return -1 if sum(a > b for a, b in combinations(seq, 2)) % 2 else 1
 
 
 def all_permutations(n: int):

@@ -32,7 +32,8 @@ from .exactmath import ExactMatrix, MultiPoly
 from .graphs import delta_sign, enumerate_three_trees, spanning_tree_sum
 from .group_algebra import GroupAlgebraElement
 from .lie_generators import all_kappas, eta, kappa, lie_closure, nu, \
-    repeated_commutator_set
+    repeated_commutator_set, span_contains
+from .perm import inversion_sign
 from .sdet import mu_from_weights
 from .wedge_rep import (action_matrix, action_rank, is_lie, kernel_dim,
                         lie_space)
@@ -79,14 +80,12 @@ def _complete(weights, keys):
     symmetric, and a triple takes the sign of the permutation that sorts
     it, since nu of an odd reordering is -nu.
     """
-    table = {}
+    table = dict.fromkeys(keys, Fraction(0))
     for key, w in weights.items():
-        if len(key) == 3 and sum(a > b for a, b in combinations(key, 2)) % 2:
-            w = -w
+        if len(key) == 3:
+            w = inversion_sign(key) * w
         key = tuple(sorted(key))
-        table[key] = table[key] + w if key in table else w
-    for key in keys:
-        table.setdefault(key, Fraction(0))
+        table[key] = table.get(key, Fraction(0)) + w
     return table
 
 
@@ -247,14 +246,13 @@ def element_from_quad_weights(n: int, weights: Dict) -> GroupAlgebraElement:
 
 
 def verify_main(n: int, weights: Optional[Dict] = None,
-                seed: Optional[int] = None, use_top: bool = True
-                ) -> VerificationReport:
+                seed: Optional[int] = None) -> VerificationReport:
     """Characteristic polynomial coefficients of the quad-weighted element
     match the shuffle-determinant tables; the constant term vanishes.
+    Missing instance weights are zero.
 
-    With use_top the r = n-1 coefficient uses the single-column-subset
-    shortcut (n equal summands); it is cross-checked against the full sum
-    for n <= 5.
+    The r = n-1 coefficient uses the single-column-subset shortcut (n equal
+    summands); it is cross-checked against the full sum for n <= 5.
     """
     t0 = time.perf_counter()
     if weights is None:
@@ -263,13 +261,12 @@ def verify_main(n: int, weights: Optional[Dict] = None,
     cp = action_matrix(z, "permutation").charpoly()
 
     def weight_of(inst):
-        return weights[(inst.quad, inst.variant)]
+        return weights.get((inst.quad, inst.variant), Fraction(0))
 
     ok = cp[0] == 0
     mus = []
     for r in range(1, n):
-        top = use_top and r == n - 1
-        mu = mu_from_weights(n, r, weight_of, top_only=top)
+        mu = mu_from_weights(n, r, weight_of, top_only=r == n - 1)
         if r == n - 1 and n <= 5:
             # the shortcut and the full column sum must agree
             full = mu_from_weights(n, r, weight_of, top_only=False)
@@ -321,7 +318,7 @@ def conjecture_report(n: int, results_dir: Optional[str] = None
     space = lie_space(n)
     closure = lie_closure(all_kappas(n), n)
     dim_l, dim_k = kernel_dim(n, space=space)
-    contained = _span_contains(space.basis, closure)
+    contained = span_contains(space.basis, closure)
     commutators = repeated_commutator_set(n)
     comm_rank = action_rank(commutators)
     data = {
@@ -341,14 +338,6 @@ def conjecture_report(n: int, results_dir: Optional[str] = None
     if results_dir:
         _check_golden(report, results_dir)
     return report
-
-
-def _span_contains(basis, elements) -> bool:
-    from .lie_generators import span_rank
-    if not elements:
-        return True
-    base = span_rank(basis)
-    return span_rank(list(basis) + list(elements)) == base
 
 
 def _check_golden(report: VerificationReport, results_dir: str):

@@ -19,7 +19,7 @@ from .exactmath import (ExactMatrix, ResourceLimitError, _forward_pass,
                         _kernel_basis, _primitive, _reduced_rows,
                         _scaled_integers, rational)
 from .group_algebra import GroupAlgebraElement
-from .perm import all_permutations
+from .perm import all_permutations, inversion_sign
 
 
 DEFAULT_SOLVER_BOUND = 6
@@ -55,8 +55,7 @@ def sort_with_sign(seq):
     items = tuple(seq)
     if len(set(items)) < len(items):
         return None
-    return tuple(sorted(items)), (-1) ** sum(
-        a > b for a, b in combinations(items, 2))
+    return tuple(sorted(items)), inversion_sign(items)
 
 
 def _signed_images(images, m: int):
@@ -165,7 +164,7 @@ def lie_space(n: int, max_n: int = DEFAULT_SOLVER_BOUND) -> LieSpaceResult:
             row = {gi: v for gi, v in blocks[key].items() if v}
             if row:
                 rows.append(_primitive(row))
-    echelon = _forward_pass(rows, len(perms))
+    echelon = _forward_pass(rows)
     kernel = _kernel_basis(_reduced_rows(echelon, len(perms)),
                            sorted(echelon), len(perms))
     return LieSpaceResult(n=n, basis=[

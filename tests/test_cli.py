@@ -110,6 +110,32 @@ class TestExitCodes:
         assert main(["lie", "dim", "--n", "9"]) == 3
 
 
+class TestAllowHeavy:
+    """--allow-heavy exists only on the commands that read it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "iota", "--n", "7"],
+        ["conjectures", "--n", "7"],
+        ["sdet", "symbolic", "--matrix-a", "[[1]]", "--matrix-b", "[[1]]"],
+    ])
+    def test_usage_error_where_ignored(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--allow-heavy"])
+        assert err.value.code == 2
+        assert "--allow-heavy" in capsys.readouterr().err
+
+    def test_lie_lifts_the_bound(self, capsys):
+        assert main(["lie", "dim", "--n", "3", "--allow-heavy"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.strip() == "4"
+        assert captured.err == "warning: resource bounds lifted\n"
+
+    def test_enumerate_lifts_the_bound(self, capsys):
+        code, out = run(capsys, "enumerate", "3trees", "--m", "1",
+                        "--allow-heavy", "--format", "json")
+        assert code == 0 and len(json.loads(out)) == 1
+
+
 class TestWeightFiles:
     def test_pairs_symmetrized(self, tmp_path):
         path = tmp_path / "w.json"
@@ -123,6 +149,12 @@ class TestWeightFiles:
         tables = load_weights(str(path))
         # w_213 = 2 means w_123 = -2
         assert tables["triples"][(1, 2, 3)] == -2
+
+    def test_triple_rotation_keeps_sign(self, tmp_path):
+        # (2, 3, 1) is a cyclic rotation of (1, 2, 3): an even reordering
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"triples": [[2, 3, 1, "2"]]}))
+        assert load_weights(str(path))["triples"][(1, 2, 3)] == 2
 
     def test_conflict_detected(self, tmp_path):
         path = tmp_path / "w.json"

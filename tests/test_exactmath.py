@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from lie_elements.exactmath import (DimensionError, ExactMatrix, MultiPoly,
                                     StructureError, _eliminate,
-                                    _forward_pass, _grlex_rank, _integer_row,
+                                    _forward_pass, _grlex_rank, _insert,
+                                    _integer_row,
                                     _scaled_integers, coeff_at, rational)
 
 
@@ -237,7 +238,10 @@ def random_rows(rng, rows, cols, rank, dens=(1,)):
 
 class TestRrefKernel:
     def check(self, data, cols):
-        assert ExactMatrix(data).rref() == dense_rref(data, cols)
+        m = ExactMatrix(data)
+        assert m.rref() == dense_rref(data, cols)
+        # rank stops after the forward pass, and must agree with rref
+        assert m.rank() == len(m.rref()[1])
 
     def test_random_against_dense_oracle(self):
         rng = random.Random(97)
@@ -282,15 +286,17 @@ class TestRrefKernel:
     def test_integer_rows_stay_primitive(self):
         # the content division keeps every row's gcd at 1, so the integers
         # stay as small as the row space allows
-        assert _integer_row([Fraction(2, 3), Fraction(-4, 3), Fraction(0),
-                             Fraction(8, 9)]) == {0: 3, 1: -6, 3: 4}
-        assert _integer_row([Fraction(0), Fraction(0)]) == {}
+        assert _integer_row({0: Fraction(2, 3), 1: Fraction(-4, 3),
+                             2: Fraction(0), 3: Fraction(8, 9)}) == \
+            {0: 3, 1: -6, 3: 4}
+        assert _integer_row({0: Fraction(0), 1: Fraction(0)}) == {}
         assert _eliminate({0: 9, 1: 3, 2: 12}, {0: 6, 2: 4}, 0) == \
             {1: 1, 2: 2}
         rng = random.Random(41)
         for _ in range(30):
             data = random_rows(rng, 8, 6, 4, (1, 2, 3, 5))
-            echelon = _forward_pass([_integer_row(r) for r in data], 6)
+            echelon = _forward_pass([_integer_row(dict(enumerate(r)))
+                                     for r in data])
             for col, row in echelon.items():
                 assert gcd(*row.values()) == 1
                 assert min(row) == col
@@ -315,6 +321,29 @@ class TestRrefKernel:
         x = MultiPoly.variable("x")
         with pytest.raises(StructureError):
             ExactMatrix([[x, 1], [1, 0]]).rref()
+        with pytest.raises(StructureError):
+            ExactMatrix([[x, 1], [1, 0]]).rank()
+
+    def test_insert(self):
+        # the one place a row is reduced: a dependent row leaves the
+        # echelon unchanged, an independent one is reduced by every pivot
+        # and kept under its least column
+        echelon = {}
+        assert _insert(echelon, {0: 1, 1: 2, 2: 3})
+        assert _insert(echelon, {1: 1, 2: 1})
+        assert not _insert(echelon, {0: 1, 1: 3, 2: 4})
+        assert not _insert(echelon, {})
+        assert sorted(echelon) == [0, 1]
+        assert _insert(echelon, {0: 2, 1: 1, 2: 5})
+        assert echelon[2] == {2: 1}
+        rng = random.Random(47)
+        for _ in range(30):
+            data = random_rows(rng, 8, 6, 3, (1, 2, 5))
+            echelon = {}
+            grew = [_insert(echelon, _integer_row(dict(enumerate(r))))
+                    for r in data]
+            assert sum(grew) == len(echelon) == ExactMatrix(data).rank()
+            assert all(min(row) == col for col, row in echelon.items())
 
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)

@@ -12,7 +12,8 @@ from lie_elements.lie_generators import (GeneratorId, all_kappas,
                                          element_vector, eta, kappa,
                                          lie_closure, nu,
                                          no_invariant_line,
-                                         repeated_commutator_set, span_dims,
+                                         repeated_commutator_set,
+                                         span_contains, span_dims,
                                          span_rank, verify_relations)
 from lie_elements.perm import Permutation, all_permutations
 from lie_elements.wedge_rep import is_lie, lie_space
@@ -95,6 +96,114 @@ class TestSpans:
         assert no_invariant_line()
 
 
+def invariant_line_form(m):
+    """Binary quadratic q(x, y) whose roots in P^1 are the invariant lines
+    of the 2x2 matrix m: (M v) wedge v for v = (x, y)."""
+    a, b = m.data[0]
+    c, d = m.data[1]
+    # (ax+by, cx+dy) wedge (x, y) = (ax+by)y - (cx+dy)x
+    return (-c, a - d, b)  # coefficients of x^2, xy, y^2
+
+
+def poly_gcd(p, q):
+    """Monic gcd of univariate polynomials given as low-to-high Fraction
+    coefficient tuples."""
+    def norm(u):
+        u = list(u)
+        while u and not u[-1]:
+            u.pop()
+        return u
+
+    p, q = norm(p), norm(q)
+    while q:
+        # p mod q
+        r = p[:]
+        while len(r) >= len(q) and any(r):
+            if not r[-1]:
+                r.pop()
+                continue
+            factor = r[-1] / q[-1]
+            shift = len(r) - len(q)
+            for t in range(len(q)):
+                r[shift + t] -= factor * q[t]
+            r.pop()
+        p, q = q, norm(r)
+    if p:
+        lead = p[-1]
+        p = [v / lead for v in p]
+    return p
+
+
+def gcd_no_common_line(matrices):
+    """The invariant-line criterion no_invariant_line used before Burnside's,
+    kept as its oracle: a common line is a common projective root of the
+    quadratics (M v) wedge v, found by polynomial gcds over Q."""
+    forms = [invariant_line_form(m) for m in matrices]
+    # root at infinity (y = 0, the line through (1, 0)): needs x^2 coeff 0
+    if all(f[0] == 0 for f in forms):
+        return False
+    # affine roots: gcd of the dehomogenized quadratics in x (y = 1)
+    polys = [(Fraction(f[2]), Fraction(f[1]), Fraction(f[0])) for f in forms]
+    g = polys[0]
+    for q in polys[1:]:
+        g = poly_gcd(g, q)
+    return len(g) <= 1
+
+
+class TestBurnsideCriterion:
+    """_no_common_line (words of length <= 3 span all 2x2 matrices)
+    against the gcd criterion it replaced."""
+
+    def check(self, matrices):
+        expected = gcd_no_common_line(matrices)
+        assert lie_generators._no_common_line(matrices) == expected
+        return expected
+
+    def test_index_representation(self):
+        assert self.check(lie_generators.index_rep_matrices())
+
+    def test_common_rational_line(self):
+        # upper-triangular matrices share the line of e1; so do their
+        # conjugates, on the image of e1
+        p = ExactMatrix([[2, 1], [1, 1]])
+        p_inv = ExactMatrix([[1, -1], [-1, 2]])
+        rng = random.Random(5)
+        for _ in range(10):
+            triple = [p @ ExactMatrix([[rng.randint(-4, 4), rng.randint(-4, 4)],
+                                       [0, rng.randint(-4, 4)]]) @ p_inv
+                      for _ in range(3)]
+            assert not self.check(triple)
+
+    def test_common_line_only_over_gaussian_rationals(self):
+        # a 90 degree rotation fixes no rational line, but fixes (1, +-i)
+        assert not self.check([ExactMatrix([[0, -1], [1, 0]])])
+
+    def test_scalar_matrices(self):
+        assert not self.check([ExactMatrix([[c, 0], [0, c]])
+                               for c in (2, -1, 0)])
+
+    def test_length_one_words_fall_short(self):
+        # I, E11 and the swap span 3 dimensions; E11 * swap = E12 is the
+        # length-2 word that reaches the fourth
+        e11 = ExactMatrix([[1, 0], [0, 0]])
+        swap = ExactMatrix([[0, 1], [1, 0]])
+        assert self.check([e11, swap])
+
+    def test_random_triples(self):
+        # small entries, and half the matrices upper triangular, so that
+        # shared lines and scalars are common
+        rng = random.Random(29)
+
+        def matrix():
+            low = rng.randint(-2, 2) if rng.random() < 0.5 else 0
+            return ExactMatrix([[rng.randint(-2, 2), rng.randint(-2, 2)],
+                                [low, rng.randint(-2, 2)]])
+
+        verdicts = [self.check([matrix() for _ in range(3)])
+                    for _ in range(300)]
+        assert set(verdicts) == {True, False}
+
+
 class TestClosure:
     def test_closure_dims(self):
         assert len(lie_closure(all_kappas(3), 3)) == 4
@@ -116,6 +225,19 @@ class TestClosure:
         base = span_rank(space.basis)
         assert span_rank(list(space.basis) + closure) == base
 
+    def test_span_contains(self):
+        space = lie_space(4)
+        closure = lie_closure(all_kappas(4), 4)
+        assert span_contains(space.basis, closure)
+        assert span_contains(space.basis, [])
+        # the closure spans less than the space
+        assert not span_contains(closure, space.basis)
+        # one closure element moved out of the span by a non-Lie element
+        for k in (0, len(closure) - 1):
+            moved = list(closure)
+            moved[k] = moved[k] + GroupAlgebraElement.one(4)
+            assert not span_contains(space.basis, moved)
+
 
 class TestRepeatedCommutators:
     def test_count(self):
@@ -136,8 +258,8 @@ class FractionEchelon:
         self.perms = all_permutations(n)
         self.rows = []
 
-    def insert(self, vec):
-        vec = list(vec)
+    def insert(self, x):
+        vec = element_vector(x, self.perms)
         for pivot, row in self.rows:
             if vec[pivot]:
                 factor = vec[pivot]
@@ -184,7 +306,9 @@ class TestClosureKernel:
             before = len(ExactMatrix(vectors).rref()[1]) if vectors else 0
             vectors.append(vec)
             grew = len(ExactMatrix(vectors).rref()[1]) > before
-            assert echelon.insert(vec) == grew
+            element = GroupAlgebraElement(n, {
+                p: c for p, c in zip(echelon.perms, vec) if c})
+            assert echelon.insert(element) == grew
         reduced, pivots = ExactMatrix(vectors).rref()
         assert [element_vector(x, echelon.perms)
                 for x in echelon.elements(n)] == reduced[:len(pivots)]

@@ -167,6 +167,17 @@ class TestMain:
         assert json.loads(report.lhs.replace("'", '"')) == \
             ["0", "0", "-4", "0", "1"]
 
+    def test_missing_weights_are_zero(self):
+        # a partial table reads every missing instance as weight zero, as
+        # verify_mtt and verify_pft do
+        partial = {((1, 2, 3, 4), "T1"): Fraction(3)}
+        full = {key: Fraction(0) for key in quad_weights(5)}
+        full.update(partial)
+        report, expected = (verify_main(5, weights=partial),
+                            verify_main(5, weights=full))
+        assert report.passed and expected.passed
+        assert (report.lhs, report.rhs) == (expected.lhs, expected.rhs)
+
 
 class TestIota:
     def test_small_degrees(self):
@@ -182,6 +193,17 @@ class TestConjectures:
         assert report.details["dim_kappa_closure"] == 1
         assert report.details["dim_kernel"] == 0
         assert report.details["dim_quotient"] == 1
+
+    def test_closure_outside_space_fails(self, monkeypatch):
+        # one closure element moved out of the solver space by a non-Lie
+        # element: the containment check must see it
+        closure = verify_mod.lie_closure(verify_mod.all_kappas(4), 4)
+        moved = closure[:2] + [closure[2] + GroupAlgebraElement.one(4)] + \
+            closure[3:]
+        monkeypatch.setattr(verify_mod, "lie_closure", lambda *a: moved)
+        report = conjecture_report(4)
+        assert report.status == "FAIL"
+        assert report.details["closure_contained_in_space"] is False
 
     def test_golden_persistence(self, tmp_path):
         first = conjecture_report(3, results_dir=str(tmp_path))
