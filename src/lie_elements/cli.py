@@ -22,7 +22,6 @@ from . import graphs, sdet as sdet_mod, verify as verify_mod, wedge_rep
 from .exactmath import DimensionError, ExactMatrix, ResourceLimitError, \
     StructureError, rational
 from .lie_generators import all_kappas, lie_closure
-from .perm import inversion_sign
 
 
 class InputError(ValueError):
@@ -63,49 +62,42 @@ def _weight_rows(raw, section, labels, values, n):
 
 
 def load_weights(path: str, n: Optional[int] = None):
-    """Weight tables from JSON with symmetry closure applied.
+    """Weight tables from JSON, each key folded into its stored form.
 
     Schema: {"pairs": [[i, j, "w"]], "triples": [[i, j, k, "w"]],
     "quads": [[i, j, k, l, "w1", "w2"]]}.  Pair weights are symmetric;
     triple weights change sign under odd index permutations and are stored
-    on ascending triples; quad weights are stored per ascending 4-subset
-    as the pair (w1, w2) for the two generator variants.  Labels must lie
-    in 1..n when n is given.
+    on ascending triples; a quad row gives the weights of the two generator
+    variants of an ascending 4-subset, stored under (4-subset, variant)
+    keys as verify_main reads them.  Labels must lie in 1..n when n is
+    given.
     """
     with open(path) as handle:
         raw = json.load(handle)
     if not isinstance(raw, dict):
         raise InputError("weights: %s does not hold a JSON object" % path)
-    pairs = {}
-    for i, j, value in _weight_rows(raw, "pairs", 2, 1, n):
-        key = tuple(sorted((i, j)))
-        if key in pairs and pairs[key] != value:
-            raise WeightConflictError("pair %r given twice" % (key,))
-        pairs[key] = value
-    triples = {}
-    for i, j, k, w in _weight_rows(raw, "triples", 3, 1, n):
-        key = tuple(sorted((i, j, k)))
-        value = w * inversion_sign((i, j, k))
-        if key in triples and triples[key] != value:
-            raise WeightConflictError("triple %r given inconsistently"
-                                      % (key,))
-        triples[key] = value
-    quads = {}
+    tables = {}
+    for section, labels, conflict in (
+            ("pairs", 2, "pair %r given twice"),
+            ("triples", 3, "triple %r given inconsistently")):
+        table = tables[section] = {}
+        for *idx, w in _weight_rows(raw, section, labels, 1, n):
+            key, value = verify_mod._fold(tuple(idx), w)
+            if key in table and table[key] != value:
+                raise WeightConflictError(conflict % (key,))
+            table[key] = value
+    quads = tables["quads"] = {}
     for i, j, k, l, w1, w2 in _weight_rows(raw, "quads", 4, 2, n):
-        key = tuple(sorted((i, j, k, l)))
-        if (i, j, k, l) != key:
+        quad = (i, j, k, l)
+        if quad != tuple(sorted(quad)):
             raise WeightConflictError(
-                "quad %r must be given in ascending order" % ((i, j, k, l),))
-        if key in quads and quads[key] != (w1, w2):
-            raise WeightConflictError("quad %r given twice" % (key,))
-        quads[key] = (w1, w2)
-    return {"pairs": pairs, "triples": triples, "quads": quads}
-
-
-def _quad_weight_table(quads):
-    """verify_main's weight table: one key per (quad, variant)."""
-    return {(key, variant): w for key, pair in quads.items()
-            for variant, w in zip(("T1", "T2"), pair)}
+                "quad %r must be given in ascending order" % (quad,))
+        for variant, w in zip(graphs.VARIANTS, (w1, w2)):
+            key = (quad, variant)
+            if key in quads and quads[key] != w:
+                raise WeightConflictError("quad %r given twice" % (quad,))
+            quads[key] = w
+    return tables
 
 
 def _emit(records, fmt, out):
@@ -137,25 +129,29 @@ def _report_records(reports):
 
 # -- verify --------------------------------------------------------------
 
+# the weight-file section each verify target reads
+_WEIGHT_SECTIONS = {"mtt": "pairs", "pft": "triples", "main": "quads"}
+
 
 def _run_verify(args) -> int:
     reports = []
     seeds = [args.seed + t for t in range(args.trials)]
-    tables = load_weights(args.weights, args.n) if args.weights else None
+    weights = None
+    if args.weights:
+        # the file fixes the element, so there is one trial
+        tables = load_weights(args.weights, args.n)
+        weights = tables[_WEIGHT_SECTIONS[args.target]]
+        seeds = seeds[:1]
     for seed in seeds:
         if args.target == "mtt":
-            weights = tables["pairs"] if tables else None
             reports.append(verify_mod.verify_mtt(
                 args.n, weights=weights, seed=seed,
                 symbolic=args.symbolic))
         elif args.target == "pft":
-            weights = tables["triples"] if tables else None
             reports.append(verify_mod.verify_pft(
                 args.n, weights=weights, seed=seed,
                 symbolic=args.symbolic))
         elif args.target == "main":
-            weights = (_quad_weight_table(tables["quads"])
-                       if tables else None)
             reports.append(verify_mod.verify_main(
                 args.n, weights=weights, seed=seed))
         elif args.target == "iota":
@@ -164,8 +160,6 @@ def _run_verify(args) -> int:
         elif args.target == "rank2":
             for quad in iter_permutations(range(1, args.n + 1), 4):
                 reports.append(verify_mod.verify_rank2(*quad, n=args.n))
-            break
-        if tables:
             break
     for r in reports:
         # rank2 reports carry full matrices; keep the output light
@@ -178,18 +172,16 @@ def _run_verify(args) -> int:
 
 
 def _run_lie(args) -> int:
-    space = wedge_rep.lie_space(args.n, max_n=_bound(args, 6))
+    bound = _bound(args, 6)
+    if args.target == "closure":
+        elements = lie_closure(all_kappas(args.n), args.n, max_n=bound)
+    else:
+        elements = wedge_rep.lie_space(args.n, max_n=bound).basis
     if args.target == "dim":
-        print(space.dim)
-        return 0
-    if args.target == "basis":
-        records = [json.loads(b.to_json()) for b in space.basis]
-        _emit(records, args.format, args.out)
-        return 0
-    closure = lie_closure(all_kappas(args.n), args.n,
-                          max_n=_bound(args, 6))
-    records = [json.loads(b.to_json()) for b in closure]
-    _emit(records, args.format, args.out)
+        print(len(elements))
+    else:
+        _emit([json.loads(b.to_json()) for b in elements], args.format,
+              args.out)
     return 0
 
 
@@ -366,6 +358,13 @@ def _least_values(args):
 
 
 def _validate(args):
+    if args.command == "verify":
+        # the targets that read each optional flag
+        for flag, targets in (("symbolic", ("mtt", "pft")),
+                              ("weights", tuple(_WEIGHT_SECTIONS))):
+            if getattr(args, flag) and args.target not in targets:
+                raise InputError("verify %s does not read --%s"
+                                 % (args.target, flag))
     if args.command == "sdet":
         if args.target == "coeff-graph" and not args.edges:
             raise InputError("coeff-graph needs --edges")

@@ -19,6 +19,7 @@ from typing import Iterator, Sequence, Tuple
 
 from .exactmath import ResourceLimitError, StructureError
 from .perm import inversion_sign
+from .sdet import instances
 
 
 class NotAThreeTreeError(ValueError):
@@ -332,7 +333,8 @@ def _delta_from_order(triangles, n: int) -> int:
 
 # -- 4-graphs ------------------------------------------------------------
 
-VARIANTS = ("T1", "T2")
+VARIANTS = tuple(inst.variant for inst in instances(4))
+FOUR_GRAPH_BOUND = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -359,20 +361,17 @@ class FourGraph:
         return len(self.edges)
 
 
-def enumerate_four_graphs(r: int, n: int,
-                          max_count: int = 2_000_000
-                          ) -> Iterator[FourGraph]:
+def enumerate_four_graphs(r: int, n: int) -> Iterator[FourGraph]:
     """All multisets of r (4-subset, variant) pairs on vertices 1..n."""
     if r < 1:
         raise ValueError("r must be positive")
     if n < 4:
         raise ValueError("n must be at least 4")
     from math import comb
-    pairs = [(q, v) for q in combinations(range(1, n + 1), 4)
-             for v in VARIANTS]
+    pairs = [(inst.quad, inst.variant) for inst in instances(n)]
     total = comb(len(pairs) + r - 1, r)
-    if total > max_count:
+    if total > FOUR_GRAPH_BOUND:
         raise ResourceLimitError(
-            "%d four-graphs exceed the bound %d" % (total, max_count))
+            "%d four-graphs exceed the bound %d" % (total, FOUR_GRAPH_BOUND))
     for chosen in combinations_with_replacement(pairs, r):
         yield FourGraph(n, chosen)

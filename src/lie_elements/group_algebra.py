@@ -132,10 +132,7 @@ class GroupAlgebraElement:
 
     def coeff_sum(self):
         """Sum of all coefficients (the m = 0 multiplicative action)."""
-        acc = Fraction(0)
-        for coeff in self.terms.values():
-            acc = acc + coeff
-        return acc
+        return sum(self.terms.values(), Fraction(0))
 
     def coeff(self, perm):
         return self.terms.get(perm, Fraction(0))

@@ -11,7 +11,6 @@ reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as index_permutations
 from typing import List, Sequence, Tuple
@@ -22,45 +21,25 @@ from .group_algebra import GroupAlgebraElement
 from .perm import Permutation, all_permutations
 
 
-@dataclass(frozen=True)
-class GeneratorId:
-    kind: str  # "kappa" | "nu" | "eta"
-    indices: Tuple[int, ...]
-
-    def __post_init__(self):
-        expected = {"kappa": 2, "nu": 3, "eta": 4}
-        if self.kind not in expected:
-            raise ValueError("unknown generator kind %r" % self.kind)
-        if len(self.indices) != expected[self.kind]:
-            raise ValueError("%s takes %d indices, got %r"
-                             % (self.kind, expected[self.kind], self.indices))
-        if len(set(self.indices)) != len(self.indices):
-            raise ValueError("repeated index in %r" % (self.indices,))
+def _signed_cycles(n: int, *signed) -> GroupAlgebraElement:
+    """The sum of sign * cycle over (sign, cycle) pairs, the cycles being
+    distinct permutations; a repeated index raises ValueError through
+    Permutation.from_cycles."""
+    return GroupAlgebraElement(n, {Permutation.from_cycles(n, [cycle]): sign
+                                   for sign, cycle in signed})
 
 
 def kappa(n: int, i: int, j: int) -> GroupAlgebraElement:
-    return make(GeneratorId("kappa", (i, j)), n)
+    return _signed_cycles(n, (1, ()), (-1, (i, j)))
 
 
 def nu(n: int, i: int, j: int, k: int) -> GroupAlgebraElement:
-    return make(GeneratorId("nu", (i, j, k)), n)
+    return _signed_cycles(n, (1, (i, j, k)), (-1, (i, k, j)))
 
 
 def eta(n: int, i: int, j: int, k: int, l: int) -> GroupAlgebraElement:
-    return make(GeneratorId("eta", (i, j, k, l)), n)
-
-
-def make(gen: GeneratorId, n: int) -> GroupAlgebraElement:
-    one = GroupAlgebraElement.one(n)
-    cyc = lambda *idx: GroupAlgebraElement.from_cycles(n, [idx])
-    if gen.kind == "kappa":
-        i, j = gen.indices
-        return one - cyc(i, j)
-    if gen.kind == "nu":
-        i, j, k = gen.indices
-        return cyc(i, j, k) - cyc(i, k, j)
-    i, j, k, l = gen.indices
-    return cyc(i, j, k, l) + cyc(i, l, k, j) - cyc(i, j, l, k) - cyc(i, k, l, j)
+    return _signed_cycles(n, (1, (i, j, k, l)), (1, (i, l, k, j)),
+                          (-1, (i, j, l, k)), (-1, (i, k, l, j)))
 
 
 # -- linear algebra over coefficient vectors ------------------------------
@@ -159,10 +138,9 @@ def span_dims(n: int, indices: Tuple[int, int, int, int] = (1, 2, 3, 4)
     Expected (1, 1, 2); also checks that {eta_ijkl, eta_iklj} spans the
     eta space."""
     i, j, k, l = indices
-    kappas = [kappa(n, p, q) for p, q in index_permutations((i, j), 2)]
-    nus = [nu(n, p, q, r) for p, q, r in index_permutations((i, j, k), 3)]
-    etas = [eta(n, p, q, r, s)
-            for p, q, r, s in index_permutations((i, j, k, l), 4)]
+    kappas = [kappa(n, *t) for t in index_permutations((i, j), 2)]
+    nus = [nu(n, *t) for t in index_permutations((i, j, k), 3)]
+    etas = [eta(n, *t) for t in index_permutations((i, j, k, l), 4)]
     dim_h = span_rank(etas)
     basis_rank = span_rank([eta(n, i, j, k, l), eta(n, i, k, l, j)])
     if basis_rank != dim_h:
@@ -173,21 +151,19 @@ def span_dims(n: int, indices: Tuple[int, int, int, int] = (1, 2, 3, 4)
 
 def _index_action_matrix(sigma: Permutation, n: int = 4) -> ExactMatrix:
     """2x2 matrix of sigma permuting eta indices, basis
-    {eta_1234, eta_1342}."""
-    perms = all_permutations(n)
-    b1 = element_vector(eta(n, 1, 2, 3, 4), perms)
-    b2 = element_vector(eta(n, 1, 3, 4, 2), perms)
+    {eta_1234, eta_1342}.  The cycle (1234) occurs in eta_1234 only, with
+    coefficient 1, and (1324) in eta_1342 only, with coefficient -1, so
+    their coefficients in an image are its coordinates."""
+    b1, b2 = eta(n, 1, 2, 3, 4), eta(n, 1, 3, 4, 2)
+    p1 = Permutation.from_cycles(n, [(1, 2, 3, 4)])
+    p2 = Permutation.from_cycles(n, [(1, 3, 2, 4)])
     cols = []
     for base in ((1, 2, 3, 4), (1, 3, 4, 2)):
         image = eta(n, *[sigma(t) for t in base])
-        vec = element_vector(image, perms)
-        # solve c1*b1 + c2*b2 = vec
-        system = ExactMatrix(
-            [[b1[t], b2[t], vec[t]] for t in range(len(perms))])
-        reduced, pivots = system.rref()
-        if pivots != [0, 1]:
+        c1, c2 = image.coeff(p1), -image.coeff(p2)
+        if b1.scale(c1) + b2.scale(c2) != image:
             raise AssertionError("eta image outside the 2-dim span")
-        cols.append((reduced[0][2], reduced[1][2]))
+        cols.append((c1, c2))
     return ExactMatrix([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
 
 
@@ -232,10 +208,7 @@ def lie_closure(generators: Sequence[GroupAlgebraElement], n: int,
         raise ResourceLimitError(
             "lie_closure at degree %d exceeds the bound %d" % (n, max_n))
     echelon = _Echelon(n)
-    frontier = []
-    for g in generators:
-        if echelon.insert(g):
-            frontier.append(g)
+    frontier = [g for g in generators if echelon.insert(g)]
     while frontier:
         new_frontier = []
         for x in frontier:
@@ -252,15 +225,14 @@ def all_kappas(n: int) -> List[GroupAlgebraElement]:
             for j in range(i + 1, n + 1)]
 
 
-def repeated_commutator_set(n: int, max_n: int = DEFAULT_CLOSURE_BOUND
-                            ) -> List[GroupAlgebraElement]:
+def repeated_commutator_set(n: int) -> List[GroupAlgebraElement]:
     """All (n-1)! left-nested commutators
     [...[kappa_{1 i_1}, kappa_{2 i_2}], ...], kappa_{n-1, i_{n-1}}]
     with s+1 <= i_s <= n."""
-    if n > max_n:
+    if n > DEFAULT_CLOSURE_BOUND:
         raise ResourceLimitError(
             "repeated commutators at degree %d exceed the bound %d"
-            % (n, max_n))
+            % (n, DEFAULT_CLOSURE_BOUND))
     out = []
 
     def extend(s, acc):

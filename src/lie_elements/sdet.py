@@ -44,16 +44,16 @@ def shuffle(A: ExactMatrix, B: ExactMatrix, I) -> ExactMatrix:
     return ExactMatrix(data)
 
 
-def sdet(A: ExactMatrix, B: ExactMatrix, bound: int = SDET_BOUND):
+def sdet(A: ExactMatrix, B: ExactMatrix):
     """Sum over all row subsets I of det(shuffle I) * det(shuffle I-bar)."""
     if A.shape != B.shape:
         raise DimensionError("shapes %r and %r differ" % (A.shape, B.shape))
     n = A.shape[0]
     if not A.is_square():
         raise DimensionError("sdet needs square matrices")
-    if n > bound:
+    if n > SDET_BOUND:
         raise ResourceLimitError("sdet dimension %d exceeds bound %d"
-                                 % (n, bound))
+                                 % (n, SDET_BOUND))
     total = Fraction(0)
     indices = list(range(1, n + 1))
     for size in range(n + 1):
@@ -64,8 +64,7 @@ def sdet(A: ExactMatrix, B: ExactMatrix, bound: int = SDET_BOUND):
     return total
 
 
-def sdet_via_coeff(A: ExactMatrix, B: ExactMatrix,
-                   bound: int = SYMBOLIC_BOUND):
+def sdet_via_coeff(A: ExactMatrix, B: ExactMatrix):
     """Coefficient of x_1...x_n in det(A + diag(x_1..x_n) B)^2.
 
     The diagonal factor scales the rows of B, matching the row-based
@@ -74,9 +73,9 @@ def sdet_via_coeff(A: ExactMatrix, B: ExactMatrix,
     if A.shape != B.shape:
         raise DimensionError("shapes %r and %r differ" % (A.shape, B.shape))
     n = A.shape[0]
-    if n > bound:
+    if n > SYMBOLIC_BOUND:
         raise ResourceLimitError("symbolic dimension %d exceeds bound %d"
-                                 % (n, bound))
+                                 % (n, SYMBOLIC_BOUND))
     xs = [MultiPoly.variable("x%d" % (i + 1)) for i in range(n)]
     data = [[MultiPoly.constant(A.data[i][j]) + MultiPoly.constant(
         B.data[i][j]) * xs[i] for j in range(n)] for i in range(n)]
@@ -216,24 +215,19 @@ class EdgeSystem:
 
 def build_AB(system: EdgeSystem) -> Tuple[ExactMatrix, ExactMatrix]:
     """r x n difference matrices: row s of A is e_i - e_j, of B is e_k - e_l."""
-    r, n = system.r, system.n
-    A = [[Fraction(0)] * n for _ in range(r)]
-    B = [[Fraction(0)] * n for _ in range(r)]
-    for s, (i, j, k, l) in enumerate(system.tuples):
-        A[s][i - 1] = Fraction(1)
-        A[s][j - 1] = Fraction(-1)
-        B[s][k - 1] = Fraction(1)
-        B[s][l - 1] = Fraction(-1)
-    return ExactMatrix(A), ExactMatrix(B)
+    def difference(p, q):
+        return [(c == p) - (c == q) for c in range(1, system.n + 1)]
+
+    return (ExactMatrix([difference(i, j) for i, j, _, _ in system.tuples]),
+            ExactMatrix([difference(k, l) for _, _, k, l in system.tuples]))
 
 
 def _column_subset(M: ExactMatrix, cols) -> ExactMatrix:
     return M.submatrix(range(M.shape[0]), [c - 1 for c in cols])
 
 
-def phi(system: EdgeSystem, weights=None):
-    """Weight product times the sum over r-subsets J of columns of
-    sdet(A^J, B^J)."""
+def phi(system: EdgeSystem):
+    """The sum over r-subsets J of columns of sdet(A^J, B^J)."""
     r, n = system.r, system.n
     if r > n:
         raise DimensionError("r=%d exceeds n=%d" % (r, n))
@@ -241,30 +235,6 @@ def phi(system: EdgeSystem, weights=None):
     total = Fraction(0)
     for J in combinations(range(1, n + 1), r):
         total = total + sdet(_column_subset(A, J), _column_subset(B, J))
-    return total * _weight_product(system, weights)
-
-
-def phi_top(system: EdgeSystem, weights=None):
-    """The r = n-1 shortcut: n times a single column-subset shuffle
-    determinant (all n subsets contribute equally)."""
-    r, n = system.r, system.n
-    if r != n - 1:
-        raise DimensionError("phi_top needs r = n-1, got r=%d n=%d" % (r, n))
-    A, B = build_AB(system)
-    J = tuple(range(1, n))
-    value = sdet(_column_subset(A, J), _column_subset(B, J))
-    return value * n * _weight_product(system, weights)
-
-
-def _weight_product(system: EdgeSystem, weights):
-    if weights is None:
-        return Fraction(1)
-    if len(weights) != system.r:
-        raise DimensionError("%d weights for %d tuples"
-                             % (len(weights), system.r))
-    total = Fraction(1)
-    for w in weights:
-        total = total * w
     return total
 
 

@@ -28,13 +28,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Optional
 
-from .exactmath import ExactMatrix, MultiPoly
+from .exactmath import ExactMatrix, MultiPoly, StructureError
 from .graphs import delta_sign, enumerate_three_trees, spanning_tree_sum
 from .group_algebra import GroupAlgebraElement
 from .lie_generators import all_kappas, eta, kappa, lie_closure, nu, \
     repeated_commutator_set, span_contains
 from .perm import inversion_sign
-from .sdet import mu_from_weights
+from .sdet import instances, mu_from_weights
 from .wedge_rep import (action_matrix, action_rank, is_lie, kernel_dim,
                         lie_space)
 
@@ -71,22 +71,52 @@ def random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-100, 100), rng.randint(1, 10))
 
 
-def _complete(weights, keys):
-    """Fold every key into its ascending form and fill missing entries with
-    zero.
+def _random_weights(keys, seed: Optional[int], symbolic: bool) -> Dict:
+    """A weight table on the keys, in their order: seeded random rationals,
+    or one variable w_<labels> per key when symbolic."""
+    if symbolic:
+        return {key: MultiPoly.variable("w_" + "_".join(map(str, key)))
+                for key in keys}
+    rng = random.Random(seed)
+    return {key: random_rational(rng) for key in keys}
 
-    Keys that fold onto one ascending key are summed, so the tree side
-    reads the same element the generator side builds: pair weights are
-    symmetric, and a triple takes the sign of the permutation that sorts
-    it, since nu of an odd reordering is -nu.
+
+def _fold(key, w):
+    """A weight key and its weight in stored form: a pair is sorted; a
+    triple is sorted and takes the sign of the permutation that sorts it,
+    since nu of an odd reordering is -nu; a quad key (4-subset, variant)
+    ends in its variant name and is kept."""
+    if isinstance(key[-1], str):
+        return key, w
+    if len(key) == 3:
+        w = inversion_sign(key) * w
+    return tuple(sorted(key)), w
+
+
+def _complete(weights, keys) -> Dict:
+    """The weight table on the keys, read from `weights`: each entry is
+    folded, entries that fold onto one key are summed, and missing keys
+    weigh zero, so the tree side reads the element the generator side
+    builds.  A key that folds onto none of the keys raises StructureError.
     """
     table = dict.fromkeys(keys, Fraction(0))
     for key, w in weights.items():
-        if len(key) == 3:
-            w = inversion_sign(key) * w
-        key = tuple(sorted(key))
-        table[key] = table.get(key, Fraction(0)) + w
+        key, w = _fold(key, w)
+        if key not in table:
+            raise StructureError("weight key %r names no generator"
+                                 % (key,))
+        table[key] = table[key] + w
     return table
+
+
+def _weighted_sum(n: int, weighted) -> GroupAlgebraElement:
+    """The element sum of w * g over the (w, g) pairs, added into one dict;
+    w may be rational or a MultiPoly."""
+    terms = {}
+    for w, g in weighted:
+        for perm, c in g.terms.items():
+            terms[perm] = terms.get(perm, 0) + c * w
+    return GroupAlgebraElement(n, terms)
 
 
 def _report(theorem, n, seed, ok, lhs, rhs, t0, **details):
@@ -103,15 +133,8 @@ def _report(theorem, n, seed, ok, lhs, rhs, t0, **details):
 
 def pair_weights(n: int, seed: Optional[int] = None, symbolic: bool = False
                  ) -> Dict:
-    """Weight table on unordered pairs: random rationals or variables."""
-    rng = random.Random(seed)
-    out = {}
-    for i, j in combinations(range(1, n + 1), 2):
-        if symbolic:
-            out[(i, j)] = MultiPoly.variable("w_%d_%d" % (i, j))
-        else:
-            out[(i, j)] = random_rational(rng)
-    return out
+    """Weight table on ascending pairs: random rationals or variables."""
+    return _random_weights(combinations(range(1, n + 1), 2), seed, symbolic)
 
 
 def verify_mtt(n: int, weights: Optional[Dict] = None,
@@ -120,13 +143,11 @@ def verify_mtt(n: int, weights: Optional[Dict] = None,
     """det of the pair-weighted element on the zero-sum hyperplane equals
     n times the spanning-tree weight sum."""
     t0 = time.perf_counter()
-    if weights is None:
-        weights = pair_weights(n, seed=seed, symbolic=symbolic)
-    else:
-        weights = _complete(weights, combinations(range(1, n + 1), 2))
-    x = GroupAlgebraElement.zero(n)
-    for (i, j), w in weights.items():
-        x = x + kappa(n, i, j).scale(w)
+    pairs = combinations(range(1, n + 1), 2)
+    weights = (pair_weights(n, seed=seed, symbolic=symbolic)
+               if weights is None else _complete(weights, pairs))
+    x = _weighted_sum(n, ((w, kappa(n, *pair))
+                          for pair, w in weights.items()))
     lhs = action_matrix(x, "reflection").det()
     rhs = spanning_tree_sum(n, weights) * n
     return _report("determinant/spanning-trees", n, seed, lhs == rhs,
@@ -139,14 +160,7 @@ def triple_weights(n: int, seed: Optional[int] = None,
                    symbolic: bool = False) -> Dict:
     """Weight table on ascending triples (extended antisymmetrically when
     read through non-sorted index orders)."""
-    rng = random.Random(seed)
-    out = {}
-    for t in combinations(range(1, n + 1), 3):
-        if symbolic:
-            out[t] = MultiPoly.variable("w_%d_%d_%d" % t)
-        else:
-            out[t] = random_rational(rng)
-    return out
+    return _random_weights(combinations(range(1, n + 1), 3), seed, symbolic)
 
 
 def _skew_form(y: GroupAlgebraElement) -> ExactMatrix:
@@ -169,13 +183,11 @@ def verify_pft(n: int, weights: Optional[Dict] = None,
     hyperplane vanishes.
     """
     t0 = time.perf_counter()
-    if weights is None:
-        weights = triple_weights(n, seed=seed, symbolic=symbolic)
-    else:
-        weights = _complete(weights, combinations(range(1, n + 1), 3))
-    y = GroupAlgebraElement.zero(n)
-    for (i, j, k), w in weights.items():
-        y = y + nu(n, i, j, k).scale(w)
+    triples = combinations(range(1, n + 1), 3)
+    weights = (triple_weights(n, seed=seed, symbolic=symbolic)
+               if weights is None else _complete(weights, triples))
+    y = _weighted_sum(n, ((w, nu(n, *triple))
+                          for triple, w in weights.items()))
     if n % 2 == 0:
         det = action_matrix(y, "reflection").det()
         return _report("pfaffian/3-trees", n, seed, det == 0,
@@ -185,15 +197,10 @@ def verify_pft(n: int, weights: Optional[Dict] = None,
         return _report("pfaffian/3-trees", n, seed, False,
                        "skew form not skew-symmetric", "", t0)
     pf = omega.pfaffian()
-    m = (n - 1) // 2
-    zero = MultiPoly.constant(0) if symbolic else Fraction(0)
-    rhs = zero
-    for tree in enumerate_three_trees(m):
-        w = Fraction(1)
-        for triple in tree.triangles:
-            w = w * weights[triple]
-        rhs = rhs + w * delta_sign(tree)
-    rhs = rhs * n
+    trees = enumerate_three_trees((n - 1) // 2)
+    rhs = n * sum((delta_sign(tree)
+                   * math.prod(weights[t] for t in tree.triangles)
+                   for tree in trees), Fraction(0))
     sign = (-1) ** ((n - 1) // 2)
     return _report("pfaffian/3-trees", n, seed, pf == sign * rhs, pf, rhs,
                    t0, global_sign=sign)
@@ -208,16 +215,11 @@ def verify_rank2(i: int, j: int, k: int, l: int, n: int
     the difference vectors v_i - v_j and v_l - v_k."""
     t0 = time.perf_counter()
     lhs = action_matrix(eta(n, i, j, k, l), "permutation")
-    data = [[Fraction(0)] * n for _ in range(n)]
-    alpha = [Fraction(0)] * n
-    v = [Fraction(0)] * n
-    alpha[i - 1], alpha[j - 1] = Fraction(1), Fraction(-1)
-    v[l - 1], v[k - 1] = Fraction(1), Fraction(-1)
-    for p in range(n):
-        for q in range(n):
-            # M[alpha, v] + M[v, alpha] with M[a, b](u) = (a, u) b
-            data[p][q] = v[p] * alpha[q] + alpha[p] * v[q]
-    rhs = ExactMatrix(data)
+    alpha = [(p == i) - (p == j) for p in range(1, n + 1)]
+    v = [(p == l) - (p == k) for p in range(1, n + 1)]
+    # M[alpha, v] + M[v, alpha] with M[a, b](u) = (a, u) b
+    rhs = ExactMatrix([[v[p] * alpha[q] + alpha[p] * v[q] for q in range(n)]
+                       for p in range(n)])
     return _report("rank-2 form", n, None, lhs == rhs,
                    lhs.data, rhs.data, t0, indices=[i, j, k, l],
                    rank=lhs.rank())
@@ -226,42 +228,44 @@ def verify_rank2(i: int, j: int, k: int, l: int, n: int
 # -- main characteristic-polynomial theorem ------------------------------
 
 
+def _quad_tuples(n: int) -> Dict:
+    """The eta index tuple of each (4-subset, variant) key."""
+    return {(inst.quad, inst.variant): inst.tuple4 for inst in instances(n)}
+
+
 def quad_weights(n: int, seed: Optional[int] = None) -> Dict:
     """Random rational weights for every (4-subset, variant) instance."""
-    rng = random.Random(seed)
-    out = {}
-    for q in combinations(range(1, n + 1), 4):
-        out[(q, "T1")] = random_rational(rng)
-        out[(q, "T2")] = random_rational(rng)
-    return out
+    return _random_weights(_quad_tuples(n), seed, False)
 
 
 def element_from_quad_weights(n: int, weights: Dict) -> GroupAlgebraElement:
-    terms = {}
-    for ((i, j, k, l), variant), w in weights.items():
-        gen = eta(n, i, j, k, l) if variant == "T1" else eta(n, i, k, l, j)
-        for perm, c in gen.scale(w).terms.items():
-            terms[perm] = terms.get(perm, 0) + c
-    return GroupAlgebraElement(n, terms)
+    """The sum of w * eta over a (4-subset, variant) weight table; missing
+    instances weigh zero, and a key that names no instance raises
+    StructureError."""
+    tuples = _quad_tuples(n)
+    return _weighted_sum(n, ((w, eta(n, *tuples[key]))
+                             for key, w in _complete(weights, tuples).items()
+                             if w))
 
 
 def verify_main(n: int, weights: Optional[Dict] = None,
                 seed: Optional[int] = None) -> VerificationReport:
     """Characteristic polynomial coefficients of the quad-weighted element
     match the shuffle-determinant tables; the constant term vanishes.
-    Missing instance weights are zero.
+    Missing instance weights are zero, and a key that names no (4-subset,
+    variant) instance raises StructureError.
 
     The r = n-1 coefficient uses the single-column-subset shortcut (n equal
     summands); it is cross-checked against the full sum for n <= 5.
     """
     t0 = time.perf_counter()
-    if weights is None:
-        weights = quad_weights(n, seed=seed)
+    weights = (quad_weights(n, seed=seed) if weights is None
+               else _complete(weights, _quad_tuples(n)))
     z = element_from_quad_weights(n, weights)
     cp = action_matrix(z, "permutation").charpoly()
 
     def weight_of(inst):
-        return weights.get((inst.quad, inst.variant), Fraction(0))
+        return weights[inst.quad, inst.variant]
 
     ok = cp[0] == 0
     mus = []
@@ -289,9 +293,8 @@ def verify_iota(n: int, trials: int = 3, seed: Optional[int] = None
     space = lie_space(n)
     ok = True
     for _ in range(trials):
-        x = GroupAlgebraElement.zero(n)
-        for b in space.basis:
-            x = x + b.scale(random_rational(rng))
+        x = _weighted_sum(n, ((random_rational(rng), b)
+                              for b in space.basis))
         ok = ok and is_lie(x.iota())
     # non-Lie elements stay non-Lie under the embedding
     one = GroupAlgebraElement.one(n)

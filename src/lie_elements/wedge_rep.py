@@ -106,13 +106,31 @@ def alg_matrix(x: GroupAlgebraElement, m: int) -> ExactMatrix:
     return ExactMatrix(data)
 
 
+def _informative_degrees(n: int):
+    """The wedge degrees whose equations decide the Lie property: m = 0 and
+    m = 2..n-1.
+
+    Write V = 1 + R, the line of u = e_1 + ... + e_n plus the zero-sum
+    hyperplane R.  x acts on the line by its coefficient sum s, and both
+    actions preserve Lambda^m V = Lambda^m R + u ^ Lambda^(m-1) R.  At
+    m = 1 both actions are x on V.  At m = n, Lambda^n V = u ^
+    Lambda^(n-1) R, and every g fixes u, so the multiplicative action is
+    the one on Lambda^(n-1) R and the derivation action is s plus the one
+    on Lambda^(n-1) R.  The m = 0 equation is s = 0, and the m = n-1
+    equation holds on its summand Lambda^(n-1) R, so together they give
+    the m = n equation.
+    """
+    return (0, *range(2, n))
+
+
 def is_lie(x: GroupAlgebraElement) -> bool:
-    """True iff the two actions agree on every wedge power m = 0..n.  Over
-    Q: the coefficients are scaled to integers once, and the sparse integer
-    difference of the two actions is checked one m at a time."""
+    """True iff the two actions agree on every wedge power m = 0..n; only
+    the degrees of _informative_degrees are checked, which is equivalent.
+    Over Q: the coefficients are scaled to integers once, and the sparse
+    integer difference of the two actions is checked one m at a time."""
     ints, _ = _scaled_integers([rational(c) for c in x.terms.values()])
     terms = list(zip([perm.images for perm in x.terms], ints))
-    for m in range(x.n + 1):
+    for m in _informative_degrees(x.n):
         diff = {}
         for images, c in terms:
             for col, ((row, sign), derivs) in enumerate(
@@ -139,7 +157,8 @@ def lie_space(n: int, max_n: int = DEFAULT_SOLVER_BOUND) -> LieSpaceResult:
     """Exact basis of the space of Lie elements in Q[S_n].
 
     One unknown per permutation; one homogeneous equation per entry of each
-    (multiplicative - derivation) matrix difference, m = 0..n, as a
+    (multiplicative - derivation) matrix difference, for the degrees m of
+    _informative_degrees (the others add nothing to the row space), as a
     primitive sparse integer row for the integer elimination kernel.  The
     kernel basis comes from reduced echelon form with unknowns in
     lexicographic image order, so the output is deterministic.
@@ -149,7 +168,7 @@ def lie_space(n: int, max_n: int = DEFAULT_SOLVER_BOUND) -> LieSpaceResult:
             "lie_space(%d) exceeds the bound %d" % (n, max_n))
     perms = all_permutations(n)
     rows = []
-    for m in range(n + 1):
+    for m in _informative_degrees(n):
         # blocks[(row, col)][perm index] -> integer coefficient
         blocks = {}
         for gi, perm in enumerate(perms):
@@ -197,11 +216,10 @@ def action_rank(elements) -> int:
                         for x in elements]).rank()
 
 
-def kernel_dim(n: int, max_n: int = DEFAULT_SOLVER_BOUND,
-               space: Optional[LieSpaceResult] = None):
+def kernel_dim(n: int, space: Optional[LieSpaceResult] = None):
     """(dim of the Lie space, dim of its subspace acting by zero on Q^n).
 
     `space` is lie_space(n) when the caller has already solved for it."""
     if space is None:
-        space = lie_space(n, max_n=max_n)
+        space = lie_space(n)
     return space.dim, space.dim - action_rank(space.basis)

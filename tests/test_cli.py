@@ -241,6 +241,22 @@ class TestBadInput:
         self.assert_input_error(capsys, "sdet", "coeff-graph", "--edges",
                                 edges)
 
+    @pytest.mark.parametrize("target, flag", [
+        ("main", "--symbolic"),
+        ("rank2", "--symbolic"),
+        ("iota", "--symbolic"),
+        ("rank2", "--weights"),
+        ("iota", "--weights"),
+    ])
+    def test_flag_the_target_ignores(self, tmp_path, capsys, target, flag):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"pairs": [[1, 2, "1"]]}))
+        argv = ["verify", target, "--n", "4", flag]
+        if flag == "--weights":
+            argv.append(str(path))
+        self.assert_input_error(capsys, *argv)
+        assert flag in run_error(capsys, *argv)[1]
+
     def test_missing_matrix(self, capsys):
         self.assert_input_error(capsys, "sdet", "eval", "--matrix-a",
                                 '[["1"]]')

@@ -8,9 +8,8 @@ import pytest
 from lie_elements import lie_generators
 from lie_elements.exactmath import ExactMatrix
 from lie_elements.group_algebra import GroupAlgebraElement
-from lie_elements.lie_generators import (GeneratorId, all_kappas,
-                                         element_vector, eta, kappa,
-                                         lie_closure, nu,
+from lie_elements.lie_generators import (all_kappas, element_vector, eta,
+                                         kappa, lie_closure, nu,
                                          no_invariant_line,
                                          repeated_commutator_set,
                                          span_contains, span_dims,
@@ -38,11 +37,13 @@ class TestGenerators:
         assert e.coeff(Permutation.from_cycles(4, [(1, 2, 4, 3)])) == -1
         assert e.coeff(Permutation.from_cycles(4, [(1, 3, 4, 2)])) == -1
 
-    def test_generator_id_validation(self):
+    def test_repeated_index_rejected(self):
         with pytest.raises(ValueError):
-            GeneratorId("kappa", (1, 1))
+            kappa(4, 1, 1)
         with pytest.raises(ValueError):
-            GeneratorId("eta", (1, 2, 3))
+            nu(4, 1, 2, 1)
+        with pytest.raises(ValueError):
+            eta(4, 1, 2, 3, 3)
 
 
 class TestBracketIdentities:

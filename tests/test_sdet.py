@@ -13,7 +13,7 @@ from lie_elements.exactmath import (DimensionError, ExactMatrix, MultiPoly,
 from lie_elements.sdet import (EdgeSystem, ResourceLimitError, _gram_c_value,
                                _pair_product, build_AB, instances,
                                monomial_coefficient, mu_from_weights,
-                               mu_table, phi, phi_top, sdet,
+                               mu_table, phi, sdet,
                                sdet_identity_formula, sdet_via_coeff,
                                shuffle)
 
@@ -162,17 +162,6 @@ class TestPhi:
     def test_doubled_tuple(self):
         assert phi(EdgeSystem(4, ((1, 2, 3, 4), (1, 2, 3, 4)))) == -8
 
-    def test_phi_top_agrees(self):
-        rng = random.Random(8)
-        for n in (4, 5):
-            for _ in range(5):
-                tuples = []
-                for _ in range(n - 1):
-                    t = rng.sample(range(1, n + 1), 4)
-                    tuples.append(tuple(t))
-                system = EdgeSystem(n, tuple(tuples))
-                assert phi_top(system) == phi(system)
-
     def test_phi_top_summands_equal(self):
         # the n column subsets of size n-1 all give the same value
         from lie_elements.sdet import _column_subset
@@ -185,11 +174,6 @@ class TestPhi:
             for J in combinations(range(1, n + 1), n - 1):
                 values.add(sdet(_column_subset(A, J), _column_subset(B, J)))
             assert len(values) == 1
-
-    def test_weights_multiply(self):
-        system = EdgeSystem(4, ((1, 2, 3, 4), (1, 2, 3, 4)))
-        assert (phi(system, weights=[Fraction(2), Fraction(3)])
-                == 6 * phi(system))
 
     def test_r_exceeds_n(self):
         system = EdgeSystem(4, tuple([(1, 2, 3, 4)] * 5))

@@ -1,22 +1,24 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import lie_elements.verify as verify_mod
 
-from lie_elements.exactmath import ExactMatrix, MultiPoly
+from lie_elements.exactmath import ExactMatrix, MultiPoly, StructureError
 from lie_elements.group_algebra import GroupAlgebraElement
 from lie_elements.lie_generators import eta
 from lie_elements.verify import (conjecture_report,
                                  element_from_quad_weights, pair_weights,
-                                 quad_weights, triple_weights, verify_iota,
-                                 verify_main, verify_mtt, verify_pft,
-                                 verify_rank2)
+                                 quad_weights, random_rational,
+                                 triple_weights, verify_iota, verify_main,
+                                 verify_mtt, verify_pft, verify_rank2)
 
 
 class TestReports:
@@ -31,6 +33,29 @@ class TestReports:
         a = verify_mtt(4, seed=9)
         b = verify_mtt(4, seed=9)
         assert (a.lhs, a.rhs, a.status) == (b.lhs, b.rhs, b.status)
+
+
+class TestWeightTables:
+    def test_seeded_tables_draw_in_key_order(self):
+        # one draw per key: ascending pairs and triples, and each 4-subset
+        # with its T1 weight drawn before its T2 weight
+        labels = range(1, 6)
+        rng = random.Random(11)
+        assert list(pair_weights(5, seed=11).items()) == [
+            (key, random_rational(rng)) for key in combinations(labels, 2)]
+        rng = random.Random(11)
+        assert list(triple_weights(5, seed=11).items()) == [
+            (key, random_rational(rng)) for key in combinations(labels, 3)]
+        rng = random.Random(11)
+        assert list(quad_weights(5, seed=11).items()) == [
+            ((quad, variant), random_rational(rng))
+            for quad in combinations(labels, 4) for variant in ("T1", "T2")]
+
+    def test_symbolic_tables_name_their_keys(self):
+        assert pair_weights(3, symbolic=True)[(1, 3)] == \
+            MultiPoly.variable("w_1_3")
+        assert triple_weights(4, symbolic=True)[(2, 3, 4)] == \
+            MultiPoly.variable("w_2_3_4")
 
 
 class TestMtt:
@@ -58,6 +83,10 @@ class TestMtt:
     def test_unsorted_pair_key(self):
         report = verify_mtt(2, weights={(2, 1): Fraction(7)})
         assert report.passed and report.lhs == report.rhs == "14"
+
+    def test_out_of_range_pair_rejected(self):
+        with pytest.raises(StructureError):
+            verify_mtt(4, weights={(1, 9): Fraction(1)})
 
     def test_pair_given_both_ways_is_summed(self):
         report = verify_mtt(2, weights={(1, 2): Fraction(3),
@@ -177,6 +206,17 @@ class TestMain:
                             verify_main(5, weights=full))
         assert report.passed and expected.passed
         assert (report.lhs, report.rhs) == (expected.lhs, expected.rhs)
+
+    @pytest.mark.parametrize("key", [
+        ((2, 1, 3, 4), "T1"),       # not ascending
+        ((1, 2, 3, 4), "T3"),       # no such variant
+    ])
+    def test_key_naming_no_instance_rejected(self, key):
+        # once such a key gave a FAIL report on a true identity
+        with pytest.raises(StructureError):
+            verify_main(4, weights={key: Fraction(1)})
+        with pytest.raises(StructureError):
+            element_from_quad_weights(4, {key: Fraction(1)})
 
 
 class TestIota:
