@@ -21,7 +21,7 @@ from typing import Optional
 from . import graphs, sdet as sdet_mod, verify as verify_mod, wedge_rep
 from .exactmath import DimensionError, ExactMatrix, ResourceLimitError, \
     StructureError, rational
-from .lie_generators import all_kappas, lie_closure
+from .lie_generators import DEFAULT_CLOSURE_BOUND, all_kappas, lie_closure
 
 
 class InputError(ValueError):
@@ -123,48 +123,41 @@ def _emit(records, fmt, out):
         print(text)
 
 
-def _report_records(reports):
-    return [r.to_json_obj() for r in reports]
-
-
 # -- verify --------------------------------------------------------------
-
-# the weight-file section each verify target reads
-_WEIGHT_SECTIONS = {"mtt": "pairs", "pft": "triples", "main": "quads"}
 
 
 def _run_verify(args) -> int:
-    reports = []
-    seeds = [args.seed + t for t in range(args.trials)]
-    weights = None
-    if args.weights:
-        # the file fixes the element, so there is one trial
-        tables = load_weights(args.weights, args.n)
-        weights = tables[_WEIGHT_SECTIONS[args.target]]
-        seeds = seeds[:1]
-    for seed in seeds:
-        if args.target == "mtt":
-            reports.append(verify_mod.verify_mtt(
-                args.n, weights=weights, seed=seed,
-                symbolic=args.symbolic))
-        elif args.target == "pft":
-            reports.append(verify_mod.verify_pft(
-                args.n, weights=weights, seed=seed,
-                symbolic=args.symbolic))
-        elif args.target == "main":
-            reports.append(verify_mod.verify_main(
-                args.n, weights=weights, seed=seed))
-        elif args.target == "iota":
-            reports.append(verify_mod.verify_iota(
-                args.n, trials=3, seed=seed))
-        elif args.target == "rank2":
-            for quad in iter_permutations(range(1, args.n + 1), 4):
-                reports.append(verify_mod.verify_rank2(*quad, n=args.n))
-            break
+    n, target = args.n, args.target
+    if target == "rank2":
+        reports = [verify_mod.verify_rank2(*quad, n=n)
+                   for quad in iter_permutations(range(1, n + 1), 4)]
+    else:
+        # a weight file or the variables fix the element: one trial
+        fixed = ("--weights" if args.weights
+                 else "--symbolic" if args.symbolic else None)
+        for flag, value in (("--seed", args.seed), ("--trials", args.trials)):
+            if fixed and value is not None:
+                raise InputError("argument %s: not allowed with argument %s"
+                                 % (flag, fixed))
+        weights = (load_weights(args.weights, n)[args.section]
+                   if args.weights else None)
+        first = args.seed or 0
+        reports = []
+        for seed in range(first, first + (args.trials or 1)):
+            if target == "iota":
+                reports.append(verify_mod.verify_iota(n, trials=3, seed=seed))
+            elif target == "main":
+                reports.append(verify_mod.verify_main(
+                    n, weights=weights, seed=seed))
+            else:
+                verifier = (verify_mod.verify_mtt if target == "mtt"
+                            else verify_mod.verify_pft)
+                reports.append(verifier(n, weights=weights, seed=seed,
+                                        symbolic=args.symbolic))
     for r in reports:
         # rank2 reports carry full matrices; keep the output light
         r.lhs, r.rhs = str(r.lhs)[:200], str(r.rhs)[:200]
-    _emit(_report_records(reports), args.format, args.out)
+    _emit([r.to_json_obj() for r in reports], args.format, args.out)
     return 0 if all(r.status != "FAIL" for r in reports) else 1
 
 
@@ -172,11 +165,12 @@ def _run_verify(args) -> int:
 
 
 def _run_lie(args) -> int:
-    bound = _bound(args, 6)
     if args.target == "closure":
-        elements = lie_closure(all_kappas(args.n), args.n, max_n=bound)
+        elements = lie_closure(all_kappas(args.n), args.n,
+                               max_n=_bound(args, DEFAULT_CLOSURE_BOUND))
     else:
-        elements = wedge_rep.lie_space(args.n, max_n=bound).basis
+        elements = wedge_rep.lie_space(
+            args.n, max_n=_bound(args, wedge_rep.DEFAULT_SOLVER_BOUND)).basis
     if args.target == "dim":
         print(len(elements))
     else:
@@ -187,7 +181,7 @@ def _run_lie(args) -> int:
 
 def _run_conjectures(args) -> int:
     report = verify_mod.conjecture_report(args.n, results_dir=args.out_dir)
-    _emit(_report_records([report]), args.format, args.out)
+    _emit([report.to_json_obj()], args.format, args.out)
     return 0 if report.status != "FAIL" else 1
 
 
@@ -248,7 +242,7 @@ def _run_enumerate(args) -> int:
         records = [{"n": t.n, "edges": [list(e) for e in t.edges]}
                    for t in graphs.enumerate_trees(args.n)]
     elif args.target == "3trees":
-        bound = 10 if args.allow_heavy else graphs.THREE_TREE_EDGE_BOUND
+        bound = _bound(args, graphs.THREE_TREE_EDGE_BOUND, lifted=10)
         records = [{"n": g.n,
                     "triangles": [list(t) for t in g.triangles],
                     "delta": graphs.delta_sign(g)}
@@ -262,81 +256,118 @@ def _run_enumerate(args) -> int:
     return 0
 
 
-def _bound(args, default: int) -> int:
+def _bound(args, default: int, lifted: int = 99) -> int:
+    """The resource bound of a command that takes --allow-heavy."""
     if args.allow_heavy:
         sys.stderr.write("warning: resource bounds lifted\n")
-        return 99
+        return lifted
     return default
 
 
 # -- argument parsing ----------------------------------------------------
 
 
-def _add_common(parser):
-    parser.add_argument("--format", choices=("text", "json", "csv"),
-                        default="text")
-    parser.add_argument("--out", default=None)
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise InputError, so that main
+    reports each one in one line with exit code 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than `least`."""
+    def parse(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                "must be at least %d, got %d" % (least, value))
+        return value
+    parse.__name__ = "int"      # argparse: "invalid int value: 'x'"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """One subparser per command target, declaring only the flags that
+    target reads, so argparse alone accepts or rejects a command line."""
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("text", "json", "csv"),
+                        default="text")
+    output.add_argument("--out", default=None)
+    heavy = argparse.ArgumentParser(add_help=False)
+    heavy.add_argument("--allow-heavy", action="store_true",
+                       help="lift the resource bounds")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, help="first seed (default 0)")
+    seeded.add_argument("--trials", type=_at_least(1),
+                        help="number of seeds (default 1)")
+
+    parser = _Parser(
         prog="lie-elements",
         description="Exact verification of Lie-element identities in the "
                     "group algebra of the symmetric group.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="run a verifier")
-    p.add_argument("target", choices=("mtt", "pft", "main", "rank2", "iota"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--weights", default=None)
-    p.add_argument("--symbolic", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_run_verify)
+    def add(group, name, about, *parents, least_n=1, **defaults):
+        p = group.add_parser(name, help=about, parents=parents)
+        if least_n:
+            p.add_argument("--n", type=_at_least(least_n), required=True)
+        p.set_defaults(**defaults)
+        return p
 
-    p = sub.add_parser("lie", help="Lie space / closure computations")
-    p.add_argument("target", choices=("dim", "basis", "closure"))
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.add_argument("--allow-heavy", action="store_true",
-                   help="lift the resource bounds")
-    p.set_defaults(func=_run_lie)
+    def targets(name, about, func, **defaults):
+        p = commands.add_parser(name, help=about)
+        p.set_defaults(func=func, **defaults)
+        return p.add_subparsers(dest="target", required=True)
 
-    p = sub.add_parser("conjectures", help="dimension reports")
-    p.add_argument("--n", type=int, required=True)
+    verify = targets("verify", "run a verifier", _run_verify,
+                     weights=None, symbolic=False)
+    for name, about, least_n, section in (   # the --weights section read
+            ("mtt", "matrix-tree identity", 1, "pairs"),
+            ("pft", "Pfaffian / 3-tree identity", 2, "triples"),
+            ("main", "charpoly vs shuffle determinants", 1, "quads")):
+        p = add(verify, name, about, output, seeded, least_n=least_n,
+                section=section)
+        fixed = p.add_mutually_exclusive_group()
+        fixed.add_argument("--weights", help="JSON weight file")
+        if name != "main":
+            fixed.add_argument("--symbolic", action="store_true")
+    add(verify, "rank2", "rank-2 form of eta", output, least_n=4)
+    add(verify, "iota", "degree-raising embedding", output, seeded)
+
+    lie = targets("lie", "Lie space / closure computations", _run_lie)
+    add(lie, "dim", "dimension of the Lie space", heavy)
+    add(lie, "basis", "basis of the Lie space", output, heavy)
+    add(lie, "closure", "bracket closure of the kappas", output, heavy)
+
+    p = add(commands, "conjectures", "dimension reports", output, least_n=2,
+            func=_run_conjectures)
     p.add_argument("--out-dir", default=None,
                    help="directory for golden report persistence")
-    _add_common(p)
-    p.set_defaults(func=_run_conjectures)
 
-    p = sub.add_parser("sdet", help="shuffle determinant computations")
-    p.add_argument("target", choices=("eval", "symbolic", "coeff-graph"))
-    p.add_argument("--matrix-a", default=None,
-                   help="JSON array of rational-string rows")
-    p.add_argument("--matrix-b", default=None)
-    p.add_argument("--edges", default=None,
-                   help="JSON list of directed edges for coeff-graph")
-    _add_common(p)
-    p.set_defaults(func=_run_sdet)
+    sdet = targets("sdet", "shuffle determinant computations", _run_sdet)
+    for name, about in (("eval", "sdet(A, B) by row subsets"),
+                       ("symbolic", "sdet(A, B) as a coefficient")):
+        p = add(sdet, name, about, output, least_n=None)
+        p.add_argument("--matrix-a", required=True,
+                       help="JSON array of rational-string rows")
+        p.add_argument("--matrix-b", required=True)
+    add(sdet, "coeff-graph", "coefficient of one monomial", output,
+        least_n=None).add_argument("--edges", required=True,
+                                   help="JSON list of directed edges")
 
-    p = sub.add_parser("enumerate", help="graph enumerations")
-    p.add_argument("target", choices=("trees", "3trees", "4graphs"))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    _add_common(p)
-    p.add_argument("--allow-heavy", action="store_true",
-                   help="lift the resource bounds")
-    p.set_defaults(func=_run_enumerate)
+    enum = targets("enumerate", "graph enumerations", _run_enumerate)
+    add(enum, "trees", "labeled trees on 1..n", output)
+    add(enum, "3trees", "3-trees with m triangles", output, heavy,
+        least_n=None).add_argument("--m", type=_at_least(1), required=True)
+    add(enum, "4graphs", "4-graphs with r edges on 1..n", output,
+        least_n=4).add_argument("--r", type=_at_least(1), required=True)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _validate(args)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ResourceLimitError as exc:
         sys.stderr.write("resource bound exceeded: %s\n" % exc)
@@ -344,46 +375,6 @@ def main(argv=None) -> int:
     except (InputError, json.JSONDecodeError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-
-
-def _least_values(args):
-    """Smallest accepted value of each integer option of the command."""
-    if args.command == "verify":
-        return {"n": 2 if args.target == "pft" else 1, "trials": 1}
-    if args.command == "conjectures":
-        return {"n": 2}
-    if args.command == "enumerate":
-        return {"n": 4 if args.target == "4graphs" else 1, "m": 1, "r": 1}
-    return {"n": 1}
-
-
-def _validate(args):
-    if args.command == "verify":
-        # the targets that read each optional flag
-        for flag, targets in (("symbolic", ("mtt", "pft")),
-                              ("weights", tuple(_WEIGHT_SECTIONS))):
-            if getattr(args, flag) and args.target not in targets:
-                raise InputError("verify %s does not read --%s"
-                                 % (args.target, flag))
-    if args.command == "sdet":
-        if args.target == "coeff-graph" and not args.edges:
-            raise InputError("coeff-graph needs --edges")
-        if args.target != "coeff-graph" and not (args.matrix_a
-                                                 and args.matrix_b):
-            raise InputError("sdet %s needs --matrix-a and --matrix-b"
-                             % args.target)
-    if args.command == "enumerate":
-        if args.target == "trees" and args.n is None:
-            raise InputError("enumerate trees needs --n")
-        if args.target == "3trees" and args.m is None:
-            raise InputError("enumerate 3trees needs --m")
-        if args.target == "4graphs" and (args.n is None or args.r is None):
-            raise InputError("enumerate 4graphs needs --n and --r")
-    for flag, least in _least_values(args).items():
-        value = getattr(args, flag, None)
-        if value is not None and value < least:
-            raise InputError("--%s must be at least %d, got %d"
-                             % (flag, least, value))
 
 
 if __name__ == "__main__":

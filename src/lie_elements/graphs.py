@@ -27,6 +27,14 @@ class NotAThreeTreeError(ValueError):
 
 
 THREE_TREE_EDGE_BOUND = 3
+# the most items enumerate_trees and enumerate_four_graphs will yield
+ENUMERATION_BOUND = 2_000_000
+
+
+def _check_count(total: int, what: str):
+    if total > ENUMERATION_BOUND:
+        raise ResourceLimitError("%d %s exceed the bound %d"
+                                 % (total, what, ENUMERATION_BOUND))
 
 
 # -- plain trees ---------------------------------------------------------
@@ -124,28 +132,33 @@ def prufer_encode(tree: LabeledTree) -> Tuple[int, ...]:
 
 
 def enumerate_trees(n: int) -> Iterator[LabeledTree]:
-    """All n^(n-2) labeled trees on 1..n, via Prufer decoding."""
+    """All n^(n-2) labeled trees on 1..n, via Prufer decoding; more than
+    ENUMERATION_BOUND of them raise ResourceLimitError."""
     if n < 1:
         raise ValueError("n must be positive")
+    _check_count(n ** max(n - 2, 0), "labeled trees")
     if n == 1:
         yield LabeledTree(1, ())
-        return
-    if n == 2:
-        yield LabeledTree(2, ((1, 2),))
         return
     from itertools import product
     for seq in product(range(1, n + 1), repeat=n - 2):
         yield prufer_decode(seq, n)
 
 
+def _pair_weight(weights, i: int, j: int):
+    """The weight of the edge {i, j}: the entries under (i, j) and (j, i)
+    summed, as verify reads a pair table; KeyError if neither is there."""
+    found = [weights[key] for key in ((i, j), (j, i)) if key in weights]
+    if not found:
+        raise KeyError("no weight for edge (%d,%d)" % (i, j))
+    return sum(found[1:], found[0])
+
+
 def tree_weight(tree: LabeledTree, weights):
     """Product of edge weights; the table is read symmetrically."""
     total = Fraction(1)
     for i, j in tree.edges:
-        key = (i, j) if (i, j) in weights else (j, i)
-        if key not in weights:
-            raise KeyError("no weight for edge (%d,%d)" % (i, j))
-        total = total * weights[key]
+        total = total * _pair_weight(weights, i, j)
     return total
 
 
@@ -161,10 +174,7 @@ def spanning_tree_sum(n: int, weights):
         raise ValueError("n must be positive")
     table = [[0] * (n + 1) for _ in range(n + 1)]
     for i, j in combinations(range(1, n + 1), 2):
-        key = (i, j) if (i, j) in weights else (j, i)
-        if key not in weights:
-            raise KeyError("no weight for edge (%d,%d)" % (i, j))
-        table[i][j] = table[j][i] = weights[key]
+        table[i][j] = table[j][i] = _pair_weight(weights, i, j)
     parent = [0] * (n + 1)          # 0: no parent chosen yet
 
     def closes_cycle(v, p):
@@ -334,7 +344,6 @@ def _delta_from_order(triangles, n: int) -> int:
 # -- 4-graphs ------------------------------------------------------------
 
 VARIANTS = tuple(inst.variant for inst in instances(4))
-FOUR_GRAPH_BOUND = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -362,16 +371,14 @@ class FourGraph:
 
 
 def enumerate_four_graphs(r: int, n: int) -> Iterator[FourGraph]:
-    """All multisets of r (4-subset, variant) pairs on vertices 1..n."""
+    """All multisets of r (4-subset, variant) pairs on vertices 1..n; more
+    than ENUMERATION_BOUND of them raise ResourceLimitError."""
     if r < 1:
         raise ValueError("r must be positive")
     if n < 4:
         raise ValueError("n must be at least 4")
     from math import comb
     pairs = [(inst.quad, inst.variant) for inst in instances(n)]
-    total = comb(len(pairs) + r - 1, r)
-    if total > FOUR_GRAPH_BOUND:
-        raise ResourceLimitError(
-            "%d four-graphs exceed the bound %d" % (total, FOUR_GRAPH_BOUND))
+    _check_count(comb(len(pairs) + r - 1, r), "four-graphs")
     for chosen in combinations_with_replacement(pairs, r):
         yield FourGraph(n, chosen)

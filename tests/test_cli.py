@@ -1,9 +1,12 @@
 import json
+import shlex
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from lie_elements import graphs
 from lie_elements.cli import WeightConflictError, load_weights, main
 
 
@@ -101,13 +104,21 @@ class TestEnumerateCommand:
 
 
 class TestExitCodes:
-    def test_usage_error(self):
-        with pytest.raises(SystemExit) as err:
-            main(["verify", "nonsense", "--n", "3"])
-        assert err.value.code == 2
+    def test_usage_error(self, capsys):
+        assert_input_error(capsys, "verify", "nonsense", "--n", "3")
 
     def test_resource_error(self, capsys):
         assert main(["lie", "dim", "--n", "9"]) == 3
+
+    def test_tree_enumeration_bound(self, capsys, monkeypatch):
+        # a bound below 5^3 trees; with the real bound, --n 9 (9^7 trees)
+        # stops the same way (test_graphs checks that), while a missing
+        # check would build millions of records here
+        monkeypatch.setattr(graphs, "ENUMERATION_BOUND", 124)
+        code, err = run_error(capsys, "enumerate", "trees", "--n", "5")
+        assert code == 3
+        assert err == ("resource bound exceeded: 125 labeled trees exceed "
+                       "the bound 124\n")
 
 
 class TestAllowHeavy:
@@ -119,10 +130,8 @@ class TestAllowHeavy:
         ["sdet", "symbolic", "--matrix-a", "[[1]]", "--matrix-b", "[[1]]"],
     ])
     def test_usage_error_where_ignored(self, argv, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(argv + ["--allow-heavy"])
-        assert err.value.code == 2
-        assert "--allow-heavy" in capsys.readouterr().err
+        assert "--allow-heavy" in assert_input_error(capsys, *argv,
+                                                     "--allow-heavy")
 
     def test_lie_lifts_the_bound(self, capsys):
         assert main(["lie", "dim", "--n", "3", "--allow-heavy"]) == 0
@@ -134,6 +143,10 @@ class TestAllowHeavy:
         code, out = run(capsys, "enumerate", "3trees", "--m", "1",
                         "--allow-heavy", "--format", "json")
         assert code == 0 and len(json.loads(out)) == 1
+
+    def test_enumerate_warns_as_lie_does(self, capsys):
+        assert main(["enumerate", "3trees", "--m", "1", "--allow-heavy"]) == 0
+        assert capsys.readouterr().err == "warning: resource bounds lifted\n"
 
 
 class TestWeightFiles:
@@ -187,14 +200,19 @@ def run_error(capsys, *argv):
     return code, captured.err
 
 
+def assert_input_error(capsys, *argv):
+    """The stderr line of a call that must exit 2 on its input."""
+    code, err = run_error(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
 class TestBadInput:
     """Malformed input exits 2 with one line on stderr, never with a
     traceback and exit 1 (which means a verification failed)."""
 
-    def assert_input_error(self, capsys, *argv):
-        code, err = run_error(capsys, *argv)
-        assert code == 2
-        assert err.startswith("error: ") and err.count("\n") == 1
+    assert_input_error = staticmethod(assert_input_error)
 
     def test_bad_rational(self, capsys):
         self.assert_input_error(capsys, "sdet", "eval", "--matrix-a",
@@ -283,3 +301,78 @@ class TestBadInput:
         path.write_text(json.dumps({"quads": [[1, 2, 3, 4, "1"]]}))
         with pytest.raises(InputError):
             load_weights(str(path))
+
+
+MATRIX = '[["1"]]'
+EDGES = "[[1,1],[1,1]]"
+
+
+class TestFlagsPerTarget:
+    """Each target accepts only the flags it reads; any other flag, and a
+    flag next to one that fixes what it would choose, is a usage error."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        ("verify rank2 --n 4 --seed 1", "--seed"),
+        ("verify rank2 --n 4 --trials 2", "--trials"),
+        ("lie dim --n 3 --format json", "--format"),
+        ("lie dim --n 3 --out dim.txt", "--out"),
+        ("sdet eval --matrix-a M --matrix-b M --edges E", "--edges"),
+        ("sdet symbolic --matrix-a M --matrix-b M --edges E", "--edges"),
+        ("sdet coeff-graph --edges E --matrix-a M", "--matrix-a"),
+        ("sdet coeff-graph --edges E --matrix-b M", "--matrix-b"),
+        ("enumerate trees --n 3 --m 1", "--m"),
+        ("enumerate trees --n 3 --r 1", "--r"),
+        ("enumerate trees --n 3 --allow-heavy", "--allow-heavy"),
+        ("enumerate 3trees --m 1 --n 3", "--n"),
+        ("enumerate 3trees --m 1 --r 1", "--r"),
+        ("enumerate 4graphs --n 4 --r 1 --m 1", "--m"),
+        ("enumerate 4graphs --n 4 --r 1 --allow-heavy", "--allow-heavy"),
+        ("verify mtt --n 3 --weights W --seed 1", "--seed"),
+        ("verify mtt --n 3 --weights W --trials 2", "--trials"),
+        ("verify mtt --n 3 --weights W --symbolic", "--symbolic"),
+        ("verify pft --n 3 --weights W --symbolic", "--symbolic"),
+        ("verify main --n 4 --weights W --seed 1", "--seed"),
+        ("verify main --n 4 --weights W --trials 2", "--trials"),
+        ("verify mtt --n 3 --symbolic --seed 1", "--seed"),
+        ("verify pft --n 3 --symbolic --trials 3", "--trials"),
+        ("verify rank2 --n 3", "--n"),
+    ])
+    def test_rejected(self, tmp_path, monkeypatch, capsys, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"pairs": [[1, 2, "1"]]}))
+        words = [{"M": MATRIX, "E": EDGES, "W": str(path)}.get(w, w)
+                 for w in argv.split()]
+        assert flag in assert_input_error(capsys, *words)
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("argv", [
+        ["nonsense"],
+        ["verify"],
+        ["verify", "mtt"],
+        ["verify", "mtt", "--n", "x"],
+        ["enumerate", "4graphs", "--n", "4"],
+        ["sdet", "coeff-graph"],
+    ])
+    def test_other_usage_errors(self, capsys, argv):
+        assert_input_error(capsys, *argv)
+
+
+def readme_command_lines():
+    """The command lines of README's "Command line" block, without the
+    program name."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        assert words[0] == "lie-elements"
+        lines.append(words[1:])
+    return lines
+
+
+@pytest.mark.parametrize("argv", readme_command_lines(), ids=" ".join)
+def test_readme_command_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0

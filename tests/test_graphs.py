@@ -21,6 +21,12 @@ class TestTrees:
         for n, expected in ((1, 1), (2, 1), (3, 3), (4, 16), (5, 125)):
             assert len(list(enumerate_trees(n))) == expected
 
+    def test_bound(self):
+        # next, not list: without the bound, a list would hold 9^7 trees
+        with pytest.raises(ResourceLimitError):
+            next(enumerate_trees(9))
+        assert next(enumerate_trees(8)).n == 8
+
     def test_uniqueness(self):
         trees = list(enumerate_trees(5))
         assert len({t.edges for t in trees}) == len(trees)
@@ -65,6 +71,15 @@ class TestTreeWeight:
     def test_missing_weight(self):
         with pytest.raises(KeyError):
             tree_weight(LabeledTree(2, ((1, 2),)), {})
+
+    def test_both_orders_summed(self):
+        # a table holding (i, j) and (j, i) weighs the edge by their sum,
+        # as verify_mtt builds the element from it
+        weights = {(1, 2): 3, (2, 1): 4}
+        tree = LabeledTree(2, ((1, 2),))
+        for value in (tree_weight(tree, weights),
+                      spanning_tree_sum(2, weights)):
+            assert value == 7 and isinstance(value, Fraction)
 
 
 def prufer_tree_sum(n, weights):
