@@ -21,7 +21,7 @@ from typing import Optional
 from . import graphs, sdet as sdet_mod, verify as verify_mod, wedge_rep
 from .exactmath import DimensionError, ExactMatrix, ResourceLimitError, \
     StructureError, rational
-from .lie_generators import DEFAULT_CLOSURE_BOUND, all_kappas, lie_closure
+from .lie_generators import all_kappas, lie_closure
 
 
 class InputError(ValueError):
@@ -166,11 +166,9 @@ def _run_verify(args) -> int:
 
 def _run_lie(args) -> int:
     if args.target == "closure":
-        elements = lie_closure(all_kappas(args.n), args.n,
-                               max_n=_bound(args, DEFAULT_CLOSURE_BOUND))
+        elements = lie_closure(all_kappas(args.n), args.n, **_bound(args))
     else:
-        elements = wedge_rep.lie_space(
-            args.n, max_n=_bound(args, wedge_rep.DEFAULT_SOLVER_BOUND)).basis
+        elements = wedge_rep.lie_space(args.n, **_bound(args)).basis
     if args.target == "dim":
         print(len(elements))
     else:
@@ -242,12 +240,11 @@ def _run_enumerate(args) -> int:
         records = [{"n": t.n, "edges": [list(e) for e in t.edges]}
                    for t in graphs.enumerate_trees(args.n)]
     elif args.target == "3trees":
-        bound = _bound(args, graphs.THREE_TREE_EDGE_BOUND, lifted=10)
         records = [{"n": g.n,
                     "triangles": [list(t) for t in g.triangles],
                     "delta": graphs.delta_sign(g)}
-                   for g in graphs.enumerate_three_trees(
-                       args.m, edge_bound=bound)]
+                   for g in graphs.enumerate_three_trees(args.m,
+                                                         **_bound(args))]
     else:
         records = [{"n": g.n,
                     "edges": [[list(q), v] for q, v in g.edges]}
@@ -256,12 +253,13 @@ def _run_enumerate(args) -> int:
     return 0
 
 
-def _bound(args, default: int, lifted: int = 99) -> int:
-    """The resource bound of a command that takes --allow-heavy."""
+def _bound(args) -> dict:
+    """The keywords of a call bounded unless --allow-heavy: bound=None,
+    which lifts the bound, under that flag, and none otherwise."""
     if args.allow_heavy:
         sys.stderr.write("warning: resource bounds lifted\n")
-        return lifted
-    return default
+        return {"bound": None}
+    return {}
 
 
 # -- argument parsing ----------------------------------------------------

@@ -320,6 +320,19 @@ class ResourceLimitError(RuntimeError):
     """Requested size exceeds the configured bound."""
 
 
+# the largest degree n that lie_space, lie_closure, the repeated
+# commutators and mu_table take by default
+DEGREE_BOUND = 6
+
+
+def _check_bound(size, bound, what):
+    """Raise ResourceLimitError when `size` exceeds `bound`; a bound of
+    None is lifted.  Every resource bound of the package is checked here."""
+    if bound is not None and size > bound:
+        raise ResourceLimitError("%s: %d exceeds the bound %d"
+                                 % (what, size, bound))
+
+
 class ExactMatrix:
     """Dense matrix over Fraction or MultiPoly entries."""
 

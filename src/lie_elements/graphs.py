@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Iterator, Sequence, Tuple
 
-from .exactmath import ResourceLimitError, StructureError
+from .exactmath import StructureError, _check_bound
 from .perm import inversion_sign
 from .sdet import instances
 
@@ -27,14 +27,9 @@ class NotAThreeTreeError(ValueError):
 
 
 THREE_TREE_EDGE_BOUND = 3
-# the most items enumerate_trees and enumerate_four_graphs will yield
+# the most trees or 4-graphs enumerate_trees, spanning_tree_sum and
+# enumerate_four_graphs will visit
 ENUMERATION_BOUND = 2_000_000
-
-
-def _check_count(total: int, what: str):
-    if total > ENUMERATION_BOUND:
-        raise ResourceLimitError("%d %s exceed the bound %d"
-                                 % (total, what, ENUMERATION_BOUND))
 
 
 # -- plain trees ---------------------------------------------------------
@@ -132,11 +127,11 @@ def prufer_encode(tree: LabeledTree) -> Tuple[int, ...]:
 
 
 def enumerate_trees(n: int) -> Iterator[LabeledTree]:
-    """All n^(n-2) labeled trees on 1..n, via Prufer decoding; more than
-    ENUMERATION_BOUND of them raise ResourceLimitError."""
+    """All n^(n-2) labeled trees on 1..n, via Prufer decoding; a count
+    above ENUMERATION_BOUND raises ResourceLimitError."""
     if n < 1:
         raise ValueError("n must be positive")
-    _check_count(n ** max(n - 2, 0), "labeled trees")
+    _check_bound(n ** max(n - 2, 0), ENUMERATION_BOUND, "labeled trees")
     if n == 1:
         yield LabeledTree(1, ())
         return
@@ -168,10 +163,12 @@ def spanning_tree_sum(n: int, weights):
     The table is read symmetrically, as tree_weight reads it.  Each tree is
     visited once, as a parent map rooted at n: vertices 1..n-1 pick their
     parent in turn, a choice that closes a cycle is pruned, and each partial
-    product is shared by every tree that extends it.
+    product is shared by every tree that extends it.  A tree count above
+    ENUMERATION_BOUND raises ResourceLimitError.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    _check_bound(n ** max(n - 2, 0), ENUMERATION_BOUND, "labeled trees")
     table = [[0] * (n + 1) for _ in range(n + 1)]
     for i, j in combinations(range(1, n + 1), 2):
         table[i][j] = table[j][i] = _pair_weight(weights, i, j)
@@ -265,16 +262,14 @@ def is_three_tree(graph: ThreeGraph) -> bool:
     return True
 
 
-def enumerate_three_trees(m: int,
-                          edge_bound: int = THREE_TREE_EDGE_BOUND
+def enumerate_three_trees(m: int, bound=THREE_TREE_EDGE_BOUND
                           ) -> Iterator[ThreeGraph]:
-    """All 3-trees with m triangles on vertices 1..2m+1, each once."""
+    """All 3-trees with m triangles on vertices 1..2m+1, each once.  An m
+    above `bound` raises ResourceLimitError on the first item; bound=None
+    lifts the bound."""
     if m < 1:
         raise ValueError("m must be positive")
-    if m > edge_bound:
-        raise ResourceLimitError(
-            "enumerate_three_trees(%d) exceeds the bound %d"
-            % (m, edge_bound))
+    _check_bound(m, bound, "3-tree triangles")
     n = 2 * m + 1
     triples = list(combinations(range(1, n + 1), 3))
     # Lexicographic search over sorted triangle multisets, in the order of
@@ -371,14 +366,15 @@ class FourGraph:
 
 
 def enumerate_four_graphs(r: int, n: int) -> Iterator[FourGraph]:
-    """All multisets of r (4-subset, variant) pairs on vertices 1..n; more
-    than ENUMERATION_BOUND of them raise ResourceLimitError."""
+    """All multisets of r (4-subset, variant) pairs on vertices 1..n; a
+    count above ENUMERATION_BOUND raises ResourceLimitError."""
     if r < 1:
         raise ValueError("r must be positive")
     if n < 4:
         raise ValueError("n must be at least 4")
     from math import comb
     pairs = [(inst.quad, inst.variant) for inst in instances(n)]
-    _check_count(comb(len(pairs) + r - 1, r), "four-graphs")
+    _check_bound(comb(len(pairs) + r - 1, r), ENUMERATION_BOUND,
+                 "four-graphs")
     for chosen in combinations_with_replacement(pairs, r):
         yield FourGraph(n, chosen)

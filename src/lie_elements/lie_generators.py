@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import permutations as index_permutations
 from typing import List, Sequence, Tuple
 
-from .exactmath import (ExactMatrix, ResourceLimitError, _insert,
+from .exactmath import (DEGREE_BOUND, ExactMatrix, _check_bound, _insert,
                         _integer_row, _reduced_rows)
 from .group_algebra import GroupAlgebraElement
 from .perm import Permutation, all_permutations
@@ -195,18 +195,14 @@ def no_invariant_line(n: int = 4) -> bool:
 
 # -- bracket closure and repeated commutators ------------------------------
 
-DEFAULT_CLOSURE_BOUND = 6
-
 
 def lie_closure(generators: Sequence[GroupAlgebraElement], n: int,
-                max_n: int = DEFAULT_CLOSURE_BOUND
-                ) -> List[GroupAlgebraElement]:
+                bound=DEGREE_BOUND) -> List[GroupAlgebraElement]:
     """Basis of the smallest bracket-closed subspace containing the
     generators.  Each round brackets the current basis with the generators
-    only; iteration stops when the dimension stabilizes."""
-    if n > max_n:
-        raise ResourceLimitError(
-            "lie_closure at degree %d exceeds the bound %d" % (n, max_n))
+    only; iteration stops when the dimension stabilizes.  A degree n above
+    `bound` raises ResourceLimitError; bound=None lifts it."""
+    _check_bound(n, bound, "lie_closure degree")
     echelon = _Echelon(n)
     frontier = [g for g in generators if echelon.insert(g)]
     while frontier:
@@ -229,10 +225,7 @@ def repeated_commutator_set(n: int) -> List[GroupAlgebraElement]:
     """All (n-1)! left-nested commutators
     [...[kappa_{1 i_1}, kappa_{2 i_2}], ...], kappa_{n-1, i_{n-1}}]
     with s+1 <= i_s <= n."""
-    if n > DEFAULT_CLOSURE_BOUND:
-        raise ResourceLimitError(
-            "repeated commutators at degree %d exceed the bound %d"
-            % (n, DEFAULT_CLOSURE_BOUND))
+    _check_bound(n, DEGREE_BOUND, "repeated commutator degree")
     out = []
 
     def extend(s, acc):

@@ -19,9 +19,9 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Dict, List, Sequence, Tuple
 
-from .exactmath import (DimensionError, ExactMatrix, MultiPoly,
-                        ResourceLimitError, StructureError, _bareiss_det,
-                        _scaled_integers, rational)
+from .exactmath import (DEGREE_BOUND, DimensionError, ExactMatrix,
+                        MultiPoly, StructureError, _bareiss_det,
+                        _check_bound, _scaled_integers, rational)
 
 
 SDET_BOUND = 10          # 2^n shuffle pairs
@@ -51,9 +51,7 @@ def sdet(A: ExactMatrix, B: ExactMatrix):
     n = A.shape[0]
     if not A.is_square():
         raise DimensionError("sdet needs square matrices")
-    if n > SDET_BOUND:
-        raise ResourceLimitError("sdet dimension %d exceeds bound %d"
-                                 % (n, SDET_BOUND))
+    _check_bound(n, SDET_BOUND, "sdet size")
     total = Fraction(0)
     indices = list(range(1, n + 1))
     for size in range(n + 1):
@@ -73,9 +71,7 @@ def sdet_via_coeff(A: ExactMatrix, B: ExactMatrix):
     if A.shape != B.shape:
         raise DimensionError("shapes %r and %r differ" % (A.shape, B.shape))
     n = A.shape[0]
-    if n > SYMBOLIC_BOUND:
-        raise ResourceLimitError("symbolic dimension %d exceeds bound %d"
-                                 % (n, SYMBOLIC_BOUND))
+    _check_bound(n, SYMBOLIC_BOUND, "symbolic sdet size")
     xs = [MultiPoly.variable("x%d" % (i + 1)) for i in range(n)]
     data = [[MultiPoly.constant(A.data[i][j]) + MultiPoly.constant(
         B.data[i][j]) * xs[i] for j in range(n)] for i in range(n)]
@@ -94,8 +90,7 @@ def sdet_identity_formula(A: ExactMatrix):
     n = A.shape[0]
     if not A.is_square():
         raise DimensionError("square matrix required")
-    if n > 7:
-        raise ResourceLimitError("n=%d exceeds the bound 7" % n)
+    _check_bound(n, 7, "sdet_identity_formula size")
     total = Fraction(0)
     for sigma in all_permutations(n):
         prod = Fraction(-2) ** sigma.cycle_count()
@@ -452,7 +447,8 @@ def mu_table(n: int, r: int, top_only: bool = False) -> List:
     sum over the list with per-instance weight products gives the
     coefficient.  The multisets come in the order of
     combinations_with_replacement.  Cached per (n, r, top_only).  Needs
-    1 <= r <= n, and r = n-1 with top_only.
+    1 <= r <= n, and r = n-1 with top_only; a degree n above DEGREE_BOUND
+    raises ResourceLimitError.
 
     Full tables evaluate c(M) by Cauchy-Binet as a sum of r x r integer
     Gram determinants det(G_I) over row subsets I, where G_I holds the
@@ -469,6 +465,7 @@ def mu_table(n: int, r: int, top_only: bool = False) -> List:
     if top_only and r != n - 1:
         raise DimensionError("top_only needs r = n-1, got r=%d n=%d"
                              % (r, n))
+    _check_bound(n, DEGREE_BOUND, "mu_table degree")
     key = (n, r, top_only)
     cached = _MU_TABLES.get(key)
     if cached is not None:

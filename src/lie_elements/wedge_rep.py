@@ -13,16 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import List, Optional
+from typing import List
 
-from .exactmath import (ExactMatrix, ResourceLimitError, _forward_pass,
-                        _kernel_basis, _primitive, _reduced_rows,
-                        _scaled_integers, rational)
+from .exactmath import (DEGREE_BOUND, ExactMatrix, _check_bound,
+                        _forward_pass, _kernel_basis, _primitive,
+                        _reduced_rows, _scaled_integers, rational)
 from .group_algebra import GroupAlgebraElement
 from .perm import all_permutations, inversion_sign
-
-
-DEFAULT_SOLVER_BOUND = 6
 
 
 class WedgeBasis:
@@ -153,7 +150,7 @@ class LieSpaceResult:
         return len(self.basis)
 
 
-def lie_space(n: int, max_n: int = DEFAULT_SOLVER_BOUND) -> LieSpaceResult:
+def lie_space(n: int, bound=DEGREE_BOUND) -> LieSpaceResult:
     """Exact basis of the space of Lie elements in Q[S_n].
 
     One unknown per permutation; one homogeneous equation per entry of each
@@ -161,11 +158,10 @@ def lie_space(n: int, max_n: int = DEFAULT_SOLVER_BOUND) -> LieSpaceResult:
     _informative_degrees (the others add nothing to the row space), as a
     primitive sparse integer row for the integer elimination kernel.  The
     kernel basis comes from reduced echelon form with unknowns in
-    lexicographic image order, so the output is deterministic.
+    lexicographic image order, so the output is deterministic.  A degree
+    n above `bound` raises ResourceLimitError; bound=None lifts it.
     """
-    if n > max_n:
-        raise ResourceLimitError(
-            "lie_space(%d) exceeds the bound %d" % (n, max_n))
+    _check_bound(n, bound, "lie_space degree")
     perms = all_permutations(n)
     rows = []
     for m in _informative_degrees(n):
@@ -216,10 +212,7 @@ def action_rank(elements) -> int:
                         for x in elements]).rank()
 
 
-def kernel_dim(n: int, space: Optional[LieSpaceResult] = None):
-    """(dim of the Lie space, dim of its subspace acting by zero on Q^n).
-
-    `space` is lie_space(n) when the caller has already solved for it."""
-    if space is None:
-        space = lie_space(n)
+def kernel_dim(n: int):
+    """(dim of the Lie space, dim of its subspace acting by zero on Q^n)."""
+    space = lie_space(n)
     return space.dim, space.dim - action_rank(space.basis)

@@ -1,12 +1,13 @@
 import json
 import shlex
+import time
 
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from lie_elements import graphs
+from lie_elements import graphs, wedge_rep
 from lie_elements.cli import WeightConflictError, load_weights, main
 
 
@@ -117,8 +118,32 @@ class TestExitCodes:
         monkeypatch.setattr(graphs, "ENUMERATION_BOUND", 124)
         code, err = run_error(capsys, "enumerate", "trees", "--n", "5")
         assert code == 3
-        assert err == ("resource bound exceeded: 125 labeled trees exceed "
+        assert err == ("resource bound exceeded: labeled trees: 125 exceeds "
                        "the bound 124\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "mtt", "--n", "12"],
+        ["verify", "mtt", "--n", "12", "--symbolic"],
+        ["verify", "main", "--n", "7"],
+        ["verify", "pft", "--n", "21"],
+        ["lie", "dim", "--n", "9"],
+        ["lie", "closure", "--n", "7"],
+        ["conjectures", "--n", "7"],
+        ["verify", "iota", "--n", "7"],
+        ["enumerate", "trees", "--n", "9"],
+        ["enumerate", "3trees", "--m", "4"],
+        ["sdet", "eval", "--matrix-a", json.dumps([[1] * 11] * 11),
+         "--matrix-b", json.dumps([[1] * 11] * 11)],
+    ])
+    def test_stops_at_its_bound(self, argv, capsys):
+        # each bound is checked before the work it bounds, so the command
+        # stops at once with one line instead of running on
+        start = time.perf_counter()
+        code, err = run_error(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert err.startswith("resource bound exceeded: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestAllowHeavy:
@@ -147,6 +172,26 @@ class TestAllowHeavy:
     def test_enumerate_warns_as_lie_does(self, capsys):
         assert main(["enumerate", "3trees", "--m", "1", "--allow-heavy"]) == 0
         assert capsys.readouterr().err == "warning: resource bounds lifted\n"
+
+    @pytest.mark.parametrize("argv, module, name, result", [
+        (["lie", "dim", "--n", "9"], wedge_rep, "lie_space",
+         wedge_rep.LieSpaceResult(9, [])),
+        (["enumerate", "3trees", "--m", "4"], graphs,
+         "enumerate_three_trees", []),
+    ])
+    def test_lifts_by_bound_none(self, argv, module, name, result, capsys,
+                                 monkeypatch):
+        # a recorder stands in for the library call, so no heavy n runs
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append(kwargs)
+            return result
+
+        monkeypatch.setattr(module, name, record)
+        assert main(argv + ["--allow-heavy"]) == 0
+        assert main(argv) == 0
+        assert calls == [{"bound": None}, {}]
 
 
 class TestWeightFiles:

@@ -6,10 +6,11 @@ from itertools import (combinations, combinations_with_replacement,
 
 import pytest
 
-from lie_elements.exactmath import MultiPoly, StructureError
+from lie_elements.exactmath import (MultiPoly, ResourceLimitError,
+                                    StructureError)
 from lie_elements.perm import Permutation
 from lie_elements.graphs import (FourGraph, LabeledTree, NotAThreeTreeError,
-                                 ResourceLimitError, ThreeGraph, delta_sign,
+                                 ThreeGraph, delta_sign,
                                  enumerate_four_graphs, enumerate_three_trees,
                                  enumerate_trees, is_three_tree,
                                  prufer_decode, prufer_encode,

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from lie_elements import sdet as sdet_module
 from lie_elements.exactmath import (DimensionError, ExactMatrix, MultiPoly,
-                                    StructureError, _bareiss_det)
-from lie_elements.sdet import (EdgeSystem, ResourceLimitError, _gram_c_value,
+                                    ResourceLimitError, StructureError,
+                                    _bareiss_det)
+from lie_elements.sdet import (EdgeSystem, _gram_c_value,
                                _pair_product, build_AB, instances,
                                monomial_coefficient, mu_from_weights,
                                mu_table, phi, sdet,

@@ -5,14 +5,13 @@ from itertools import combinations, permutations
 
 import pytest
 
-from lie_elements.exactmath import ExactMatrix, MultiPoly
+from lie_elements.exactmath import ExactMatrix, MultiPoly, ResourceLimitError
 from lie_elements.group_algebra import GroupAlgebraElement
 from lie_elements.lie_generators import eta, kappa, lie_closure, nu
 from lie_elements.perm import Permutation, all_permutations
-from lie_elements.wedge_rep import (ResourceLimitError, WedgeBasis,
-                                    action_matrix, action_rank, alg_matrix,
-                                    grp_matrix, is_lie, kernel_dim,
-                                    lie_space, sort_with_sign,
+from lie_elements.wedge_rep import (WedgeBasis, action_matrix, action_rank,
+                                    alg_matrix, grp_matrix, is_lie,
+                                    kernel_dim, lie_space, sort_with_sign,
                                     _signed_images)
 
 
@@ -161,10 +160,6 @@ class TestKernelDim:
 
     def test_n5(self):
         assert kernel_dim(5) == (66, 50)
-
-    def test_precomputed_space(self):
-        for n in (2, 3, 4):
-            assert kernel_dim(n, space=lie_space(n)) == kernel_dim(n)
 
     def test_action_rank_flattens_actions(self):
         # kappa_12 and kappa_13 act by independent matrices, and their
