@@ -1,7 +1,8 @@
 """Exact arithmetic kernels: rationals, sparse multivariate polynomials and
 dense matrices over either, with determinant / charpoly / Pfaffian / nullspace,
-the fraction-free determinant kernel behind every det, and one incremental
-integer echelon, _insert, behind rref, rank, nullspace and every span.
+two determinant kernels (Bareiss over Z, memoized expansion over Q[x]), and
+one incremental integer echelon, _insert, behind rref, rank, nullspace and
+every span.
 
 No floating point anywhere; every operation is exact over Q or Q[w, x, ...].
 """
@@ -156,45 +157,6 @@ class MultiPoly:
             e >>= 1
         return result
 
-    def __truediv__(self, other):
-        """Exact division; raises ValueError if the division is not exact."""
-        if isinstance(other, (int, Fraction)):
-            other = rational(other)
-            if not other:
-                raise ZeroDivisionError("polynomial division by zero")
-            return self * (Fraction(1) / other)
-        other = _poly(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if other.is_constant():
-            return self * (Fraction(1) / other.constant_value())
-        quotient = {}
-        rem = self
-        ranks = {}                  # _grlex_rank of each monomial seen
-
-        def rank(mono):
-            r = ranks.get(mono)
-            if r is None:
-                r = ranks[mono] = _grlex_rank(mono)
-            return r
-
-        lead_mono = min(other.terms, key=rank)
-        lead_coeff = other.terms[lead_mono]
-        while not rem.is_zero():
-            rmono = min(rem.terms, key=rank)
-            rcoeff = rem.terms[rmono]
-            qmono = _mono_div(rmono, lead_mono)
-            if qmono is None:
-                raise ValueError("inexact polynomial division")
-            qcoeff = rcoeff / lead_coeff
-            quotient[qmono] = quotient.get(qmono, Fraction(0)) + qcoeff
-            rem = rem - MultiPoly({qmono: qcoeff}) * other
-        return MultiPoly(quotient)
-
-    # the division is exact, so floor division is the same operation; it
-    # lets _bareiss_det run on polynomials unchanged
-    __floordiv__ = __truediv__
-
     # -- queries ---------------------------------------------------------
 
     def coeff_at(self, monomial) -> Fraction:
@@ -272,25 +234,12 @@ def _mono_mul(m1, m2):
     return tuple(sorted(merged.items()))
 
 
-def _mono_div(m1, m2):
-    merged = dict(m1)
-    for v, e in m2:
-        new = merged.get(v, 0) - e
-        if new < 0:
-            return None
-        if new:
-            merged[v] = new
-        else:
-            merged.pop(v, None)
-    return tuple(sorted(merged.items()))
-
-
 def _grlex_rank(mono):
-    """Sort key of the graded lexicographic order, leading monomial first.
+    """Sort key of the graded lexicographic order, leading monomial first;
+    it fixes the order in which str(MultiPoly) prints its terms.
 
     Higher total degree leads; ties go to the first (alphabetically)
-    variable with differing exponents, larger exponent first.  The order is
-    compatible with multiplication, which the exact-division loop requires.
+    variable with differing exponents, larger exponent first.
     Two monomials of one degree differ before either runs out of variables,
     so the (variable, -exponent) pairs compare as the order says.
     """
@@ -425,16 +374,16 @@ class ExactMatrix:
     # -- linear algebra kernels ------------------------------------------
 
     def det(self):
-        """Exact determinant by the fraction-free kernel _bareiss_det: in Z
-        after scaling each rational row by the lcm of its denominators
-        (det(DM) = det(D) det(M)), in Q[x] when an entry is a polynomial."""
+        """Exact determinant.  Rational entries: _bareiss_det in Z after
+        scaling each row by the lcm of its denominators (det(DM) =
+        det(D) det(M)).  A polynomial entry: _expansion_det in Q[x], which
+        needs no polynomial division."""
         if not self.is_square():
             raise DimensionError("determinant of a non-square matrix")
         if self.rows == 0:
             return Fraction(1)
         if not self._is_rational():
-            return _poly(_bareiss_det([[_poly(v) for v in row]
-                                       for row in self.data]))
+            return _poly(_expansion_det(self.data))
         scale = 1
         rows = []
         for row in self.data:
@@ -538,13 +487,46 @@ class ExactMatrix:
         return acc
 
 
-# -- determinant kernel ---------------------------------------------------
+# -- determinant kernels --------------------------------------------------
+#
+# Two kernels, chosen by the entry type.  Over Z, Bareiss elimination costs
+# k^3 steps, each with an exact integer division.  Over Q[x] each of those
+# divisions is a multivariate polynomial division of two large minors, so
+# polynomial dets expand instead: k 2^k steps, each a minor times one entry.
+
+
+def _wedge(form, row):
+    """form ^ row for a sparse form {column bitmask: coefficient} and a
+    sparse row {column: entry}, over Z or Q[x]; {} if it vanishes."""
+    out = {}
+    for mask, x in form.items():
+        for col, y in row.items():
+            bit = 1 << col
+            if mask & bit:
+                continue
+            # e_col moves left past the columns of mask above col
+            if (mask >> col).bit_count() & 1:
+                y = -y
+            key = mask | bit
+            out[key] = out.get(key, 0) + x * y
+    return {key: v for key, v in out.items() if v}
+
+
+def _expansion_det(rows):
+    """Determinant of a square matrix by Laplace expansion down the rows,
+    each minor computed once: after k rows, form[mask] is the det of those
+    rows on the columns in mask.  No division; a singular matrix gives the
+    int 0."""
+    form = {0: 1}
+    for row in rows:
+        form = _wedge(form, {c: v for c, v in enumerate(row) if v})
+    return form.get((1 << len(rows)) - 1, 0)
 
 
 def _bareiss_det(rows):
-    """Determinant of a square matrix over Z or Q[x] by fraction-free
+    """Determinant of a square integer matrix by fraction-free
     elimination (Bareiss 1968); every division is exact.  Overwrites rows;
-    a singular matrix gives the int 0."""
+    a singular matrix gives 0."""
     size = len(rows)
     sign = 1
     prev = 1

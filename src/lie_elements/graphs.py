@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
+from math import comb
 from typing import Iterator, Sequence, Tuple
 
 from .exactmath import StructureError, _check_bound
@@ -132,12 +133,8 @@ def enumerate_trees(n: int) -> Iterator[LabeledTree]:
     if n < 1:
         raise ValueError("n must be positive")
     _check_bound(n ** max(n - 2, 0), ENUMERATION_BOUND, "labeled trees")
-    if n == 1:
-        yield LabeledTree(1, ())
-        return
-    from itertools import product
-    for seq in product(range(1, n + 1), repeat=n - 2):
-        yield prufer_decode(seq, n)
+    return (prufer_decode(seq, n)
+            for seq in product(range(1, n + 1), repeat=max(n - 2, 0)))
 
 
 def _pair_weight(weights, i: int, j: int):
@@ -265,8 +262,7 @@ def is_three_tree(graph: ThreeGraph) -> bool:
 def enumerate_three_trees(m: int, bound=THREE_TREE_EDGE_BOUND
                           ) -> Iterator[ThreeGraph]:
     """All 3-trees with m triangles on vertices 1..2m+1, each once.  An m
-    above `bound` raises ResourceLimitError on the first item; bound=None
-    lifts the bound."""
+    above `bound` raises ResourceLimitError; bound=None lifts the bound."""
     if m < 1:
         raise ValueError("m must be positive")
     _check_bound(m, bound, "3-tree triangles")
@@ -298,7 +294,7 @@ def enumerate_three_trees(m: int, bound=THREE_TREE_EDGE_BOUND
             chosen.pop()
             comp[:] = saved
 
-    yield from search(0)
+    return search(0)
 
 
 def delta_sign(graph: ThreeGraph, check_reorder: bool = True) -> int:
@@ -372,9 +368,8 @@ def enumerate_four_graphs(r: int, n: int) -> Iterator[FourGraph]:
         raise ValueError("r must be positive")
     if n < 4:
         raise ValueError("n must be at least 4")
-    from math import comb
     pairs = [(inst.quad, inst.variant) for inst in instances(n)]
     _check_bound(comb(len(pairs) + r - 1, r), ENUMERATION_BOUND,
                  "four-graphs")
-    for chosen in combinations_with_replacement(pairs, r):
-        yield FourGraph(n, chosen)
+    return (FourGraph(n, chosen)
+            for chosen in combinations_with_replacement(pairs, r))

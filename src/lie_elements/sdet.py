@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .exactmath import (DEGREE_BOUND, DimensionError, ExactMatrix,
                         MultiPoly, StructureError, _bareiss_det,
-                        _check_bound, _scaled_integers, rational)
+                        _check_bound, _scaled_integers, _wedge, rational)
 
 
 SDET_BOUND = 10          # 2^n shuffle pairs
@@ -344,23 +344,6 @@ def _gram_table(n: int, r: int) -> List:
                     denom *= 2
             table.append((multiset, Fraction(c, denom)))
     return table
-
-
-def _wedge(form, row):
-    """form ^ row for a sparse form {column bitmask: int} and a sparse row
-    {column: int}; {} if it vanishes."""
-    out = {}
-    for mask, x in form.items():
-        for col, y in row.items():
-            bit = 1 << col
-            if mask & bit:
-                continue
-            # e_col moves left past the columns of mask above col
-            if (mask >> col).bit_count() & 1:
-                y = -y
-            key = mask | bit
-            out[key] = out.get(key, 0) + x * y
-    return {key: v for key, v in out.items() if v}
 
 
 def _cofactors(form, r: int) -> List[int]:

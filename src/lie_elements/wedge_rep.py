@@ -210,9 +210,3 @@ def action_rank(elements) -> int:
     matrix flattened into one row."""
     return ExactMatrix([[v for row in action_matrix(x).data for v in row]
                         for x in elements]).rank()
-
-
-def kernel_dim(n: int):
-    """(dim of the Lie space, dim of its subspace acting by zero on Q^n)."""
-    space = lie_space(n)
-    return space.dim, space.dim - action_rank(space.basis)

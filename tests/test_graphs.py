@@ -28,6 +28,14 @@ class TestTrees:
             next(enumerate_trees(9))
         assert next(enumerate_trees(8)).n == 8
 
+    def test_bounds_fire_at_the_call(self):
+        # each enumerator checks its bound before it returns an iterator
+        for call in (lambda: enumerate_three_trees(10),
+                     lambda: enumerate_trees(9),
+                     lambda: enumerate_four_graphs(3, 30)):
+            with pytest.raises(ResourceLimitError):
+                call()
+
     def test_uniqueness(self):
         trees = list(enumerate_trees(5))
         assert len({t.edges for t in trees}) == len(trees)

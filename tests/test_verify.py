@@ -80,6 +80,11 @@ class TestMtt:
         for seed in range(3):
             assert verify_mtt(5, seed=seed).passed
 
+    def test_symbolic_n5_n6(self):
+        # a 4 x 4 det in 10 variables and a 5 x 5 one in 15
+        for n in (5, 6):
+            assert verify_mtt(n, symbolic=True).passed
+
     def test_unsorted_pair_key(self):
         report = verify_mtt(2, weights={(2, 1): Fraction(7)})
         assert report.passed and report.lhs == report.rhs == "14"
@@ -123,6 +128,14 @@ class TestPft:
             report = verify_pft(n, symbolic=True)
             assert report.passed
             assert report.details["global_sign"] == sign
+
+    def test_symbolic_even_degrees(self):
+        # det of y on the hyperplane vanishes as a polynomial: a 3 x 3 det
+        # in 4 variables and a 5 x 5 one in 20
+        for n in (4, 6):
+            report = verify_pft(n, symbolic=True)
+            assert report.passed and report.lhs == "0"
+            assert report.details["case"] == "even-degenerate"
 
     def test_flipped_sign_fails_symbolic(self, monkeypatch):
         monkeypatch.setattr(verify_mod, "_skew_form",
@@ -233,6 +246,13 @@ class TestConjectures:
         assert report.details["dim_kappa_closure"] == 1
         assert report.details["dim_kernel"] == 0
         assert report.details["dim_quotient"] == 1
+
+    def test_kernel_dims(self):
+        # (dim of the Lie space, dim of its part acting by zero on Q^n)
+        for n, dims in ((2, (1, 0)), (3, (4, 0)), (4, (13, 4)),
+                        (5, (66, 50))):
+            details = conjecture_report(n).details
+            assert (details["dim_lie_space"], details["dim_kernel"]) == dims
 
     def test_closure_outside_space_fails(self, monkeypatch):
         # one closure element moved out of the solver space by a non-Lie

@@ -11,7 +11,7 @@ from lie_elements.lie_generators import eta, kappa, lie_closure, nu
 from lie_elements.perm import Permutation, all_permutations
 from lie_elements.wedge_rep import (WedgeBasis, action_matrix, action_rank,
                                     alg_matrix, grp_matrix, is_lie,
-                                    kernel_dim, lie_space, sort_with_sign,
+                                    lie_space, sort_with_sign,
                                     _signed_images)
 
 
@@ -153,14 +153,6 @@ class TestActionMatrix:
 
 
 class TestKernelDim:
-    def test_small_values(self):
-        assert kernel_dim(2) == (1, 0)
-        assert kernel_dim(3) == (4, 0)
-        assert kernel_dim(4) == (13, 4)
-
-    def test_n5(self):
-        assert kernel_dim(5) == (66, 50)
-
     def test_action_rank_flattens_actions(self):
         # kappa_12 and kappa_13 act by independent matrices, and their
         # sum adds no rank
