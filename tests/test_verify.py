@@ -247,13 +247,6 @@ class TestConjectures:
         assert report.details["dim_kernel"] == 0
         assert report.details["dim_quotient"] == 1
 
-    def test_kernel_dims(self):
-        # (dim of the Lie space, dim of its part acting by zero on Q^n)
-        for n, dims in ((2, (1, 0)), (3, (4, 0)), (4, (13, 4)),
-                        (5, (66, 50))):
-            details = conjecture_report(n).details
-            assert (details["dim_lie_space"], details["dim_kernel"]) == dims
-
     def test_closure_outside_space_fails(self, monkeypatch):
         # one closure element moved out of the solver space by a non-Lie
         # element: the containment check must see it

@@ -9,6 +9,7 @@ from lie_elements.exactmath import ExactMatrix, MultiPoly, ResourceLimitError
 from lie_elements.group_algebra import GroupAlgebraElement
 from lie_elements.lie_generators import eta, kappa, lie_closure, nu
 from lie_elements.perm import Permutation, all_permutations
+from lie_elements.verify import conjecture_report
 from lie_elements.wedge_rep import (WedgeBasis, action_matrix, action_rank,
                                     alg_matrix, grp_matrix, is_lie,
                                     lie_space, sort_with_sign,
@@ -152,7 +153,21 @@ class TestActionMatrix:
             action_matrix(GroupAlgebraElement.one(3), "spin")
 
 
+def _kernel_dims(n):
+    # (dim of the Lie space, dim of its part acting by zero on Q^n)
+    details = conjecture_report(n).details
+    return details["dim_lie_space"], details["dim_kernel"]
+
+
 class TestKernelDim:
+    def test_small_values(self):
+        assert _kernel_dims(2) == (1, 0)
+        assert _kernel_dims(3) == (4, 0)
+        assert _kernel_dims(4) == (13, 4)
+
+    def test_n5(self):
+        assert _kernel_dims(5) == (66, 50)
+
     def test_action_rank_flattens_actions(self):
         # kappa_12 and kappa_13 act by independent matrices, and their
         # sum adds no rank
