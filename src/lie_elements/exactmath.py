@@ -35,7 +35,9 @@ def rational(value) -> Fraction:
 
 def _scaled_integers(values):
     """(ints, scale) with ints[i] = values[i] * scale, for a sequence of
-    rationals and the lcm `scale` of their denominators (1 if empty)."""
+    rationals and the lcm `scale` of their denominators (1 if empty).  A
+    MultiPoly value has a denominator and a numerator too, so it comes out
+    with integer coefficients."""
     scale = lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
@@ -88,6 +90,20 @@ class MultiPoly:
 
     def constant_value(self) -> Fraction:
         return self.terms.get((), Fraction(0))
+
+    # -- scaling, as _scaled_integers reads a rational -------------------
+
+    @property
+    def denominator(self) -> int:
+        """The lcm of the coefficients' denominators (1 for zero)."""
+        return lcm(*(c.denominator for c in self.terms.values()))
+
+    @property
+    def numerator(self) -> "MultiPoly":
+        """self * self.denominator: the polynomial with integer
+        coefficients."""
+        den = self.denominator
+        return self if den == 1 else self * den
 
     # -- arithmetic ------------------------------------------------------
 

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
-from math import comb
+from math import comb, prod
 from typing import Iterator, Sequence, Tuple
 
-from .exactmath import StructureError, _check_bound
+from .exactmath import StructureError, _check_bound, _scaled_integers
 from .perm import inversion_sign
 from .sdet import instances
 
@@ -160,15 +161,23 @@ def spanning_tree_sum(n: int, weights):
     The table is read symmetrically, as tree_weight reads it.  Each tree is
     visited once, as a parent map rooted at n: vertices 1..n-1 pick their
     parent in turn, a choice that closes a cycle is pruned, and each partial
-    product is shared by every tree that extends it.  A tree count above
+    product is shared by every tree that extends it.  The search runs in Z:
+    the edge weights are scaled once by the lcm s of their denominators,
+    and since every tree has n-1 edges the sum is total / s^(n-1).  A
+    MultiPoly weight scales the same way (its denominator is the lcm of its
+    coefficients' denominators), so rational and symbolic tables take one
+    path; a rational table gives a Fraction.  A tree count above
     ENUMERATION_BOUND raises ResourceLimitError.
     """
     if n < 1:
         raise ValueError("n must be positive")
     _check_bound(n ** max(n - 2, 0), ENUMERATION_BOUND, "labeled trees")
+    edges = list(combinations(range(1, n + 1), 2))
+    scaled, scale = _scaled_integers(
+        [_pair_weight(weights, i, j) for i, j in edges])
     table = [[0] * (n + 1) for _ in range(n + 1)]
-    for i, j in combinations(range(1, n + 1), 2):
-        table[i][j] = table[j][i] = _pair_weight(weights, i, j)
+    for (i, j), w in zip(edges, scaled):
+        table[i][j] = table[j][i] = w
     parent = [0] * (n + 1)          # 0: no parent chosen yet
 
     def closes_cycle(v, p):
@@ -181,10 +190,10 @@ def spanning_tree_sum(n: int, weights):
     def extend(v, product):
         row = table[v]
         if v == n - 1:
-            last = [row[p] for p in range(1, n + 1)
-                    if p != v and row[p] and not closes_cycle(v, p)]
-            return product * sum(last) if last else Fraction(0)
-        total = Fraction(0)
+            return product * sum(row[p] for p in range(1, n + 1)
+                                 if p != v and row[p]
+                                 and not closes_cycle(v, p))
+        total = 0
         for p in range(1, n + 1):
             if p == v or not row[p] or closes_cycle(v, p):
                 continue
@@ -193,7 +202,8 @@ def spanning_tree_sum(n: int, weights):
             parent[v] = 0
         return total
 
-    return extend(1, Fraction(1)) if n > 1 else Fraction(1)
+    total = extend(1, 1) if n > 1 else 1
+    return total * Fraction(1, scale ** (n - 1))
 
 
 # -- 3-graphs ------------------------------------------------------------
@@ -330,6 +340,35 @@ def _delta_from_order(triangles, n: int) -> int:
         raise NotAThreeTreeError(
             "triangle product is not a single %d-cycle" % n)
     return inversion_sign(cycle)
+
+
+def three_tree_sum(m: int, weights):
+    """Sum over the 3-trees T with m triangles of delta(T) times the
+    product of T's triangle weights, the table keyed by ascending triples.
+
+    The signed triangle lists come from a table built once per m.  The sum
+    runs in Z: the weights are scaled once by the lcm s of their
+    denominators, and since every 3-tree has m triangles the sum is
+    total / s^m; a MultiPoly weight scales the same way, so rational and
+    symbolic tables take one path.  An m above THREE_TREE_EDGE_BOUND
+    raises ResourceLimitError on every call, before the table is read.
+    """
+    _check_bound(m, THREE_TREE_EDGE_BOUND, "3-tree triangles")
+    keys = list(weights)
+    scaled, scale = _scaled_integers([weights[key] for key in keys])
+    scaled = dict(zip(keys, scaled))
+    total = sum(sign * prod(scaled[t] for t in triangles)
+                for sign, triangles in _signed_three_trees(m))
+    return total * Fraction(1, scale ** m)
+
+
+@lru_cache(maxsize=None)
+def _signed_three_trees(m: int):
+    """(delta_sign(T), T.triangles) for every 3-tree T with m triangles,
+    in the order of enumerate_three_trees; each sign is computed once, with
+    its check_reorder self-check."""
+    return tuple((delta_sign(tree), tree.triangles)
+                 for tree in enumerate_three_trees(m))
 
 
 # -- 4-graphs ------------------------------------------------------------

@@ -25,11 +25,13 @@ import time
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, Optional
 
-from .exactmath import ExactMatrix, MultiPoly, StructureError
-from .graphs import delta_sign, enumerate_three_trees, spanning_tree_sum
+from .exactmath import DEGREE_BOUND, ExactMatrix, MultiPoly, \
+    StructureError, _check_bound
+from .graphs import spanning_tree_sum, three_tree_sum
 from .group_algebra import GroupAlgebraElement
 from .lie_generators import all_kappas, eta, kappa, lie_closure, nu, \
     repeated_commutator_set, span_contains
@@ -179,11 +181,16 @@ def verify_pft(n: int, weights: Optional[Dict] = None,
     Odd n: with Omega the skew form of y on the hyperplane, Pf(Omega)
     equals s * n * sum of delta(T) w_T over 3-trees, with the global sign
     s = (-1)^((n-1)/2); checked as an exact equality, for numeric and
-    symbolic weights alike; the 3-tree side runs first, so its resource
+    symbolic weights alike.  The 3-tree side (graphs.three_tree_sum: one
+    signed triangle table per m, summed in Z) runs first, so its resource
     bound stops a large n before the Pfaffian.  Even n: the determinant of
-    y on the hyperplane vanishes.
+    y on the hyperplane vanishes; with symbolic weights it is a polynomial
+    det of size n-1 in C(n, 3) variables, so an n above DEGREE_BOUND
+    raises ResourceLimitError before y is built.
     """
     t0 = time.perf_counter()
+    if symbolic and n % 2 == 0:
+        _check_bound(n, DEGREE_BOUND, "symbolic even-n Pfaffian degree")
     triples = combinations(range(1, n + 1), 3)
     weights = (triple_weights(n, seed=seed, symbolic=symbolic)
                if weights is None else _complete(weights, triples))
@@ -193,10 +200,7 @@ def verify_pft(n: int, weights: Optional[Dict] = None,
         det = action_matrix(y, "reflection").det()
         return _report("pfaffian/3-trees", n, seed, det == 0,
                        det, 0, t0, case="even-degenerate")
-    trees = enumerate_three_trees((n - 1) // 2)
-    rhs = n * sum((delta_sign(tree)
-                   * math.prod(weights[t] for t in tree.triangles)
-                   for tree in trees), Fraction(0))
+    rhs = n * three_tree_sum((n - 1) // 2, weights)
     omega = _skew_form(y)
     if not omega.is_skew_symmetric():
         return _report("pfaffian/3-trees", n, seed, False,
@@ -229,23 +233,26 @@ def verify_rank2(i: int, j: int, k: int, l: int, n: int
 # -- main characteristic-polynomial theorem ------------------------------
 
 
-def _quad_tuples(n: int) -> Dict:
-    """The eta index tuple of each (4-subset, variant) key."""
-    return {(inst.quad, inst.variant): inst.tuple4 for inst in instances(n)}
+@lru_cache(maxsize=None)
+def _quad_etas(n: int) -> Dict:
+    """The eta generator of each (4-subset, variant) key, built once per
+    n; callers only read it."""
+    return {(inst.quad, inst.variant): eta(n, *inst.tuple4)
+            for inst in instances(n)}
 
 
 def quad_weights(n: int, seed: Optional[int] = None) -> Dict:
     """Random rational weights for every (4-subset, variant) instance."""
-    return _random_weights(_quad_tuples(n), seed, False)
+    return _random_weights(_quad_etas(n), seed, False)
 
 
 def element_from_quad_weights(n: int, weights: Dict) -> GroupAlgebraElement:
     """The sum of w * eta over a (4-subset, variant) weight table; missing
     instances weigh zero, and a key that names no instance raises
     StructureError."""
-    tuples = _quad_tuples(n)
-    return _weighted_sum(n, ((w, eta(n, *tuples[key]))
-                             for key, w in _complete(weights, tuples).items()
+    etas = _quad_etas(n)
+    return _weighted_sum(n, ((w, etas[key])
+                             for key, w in _complete(weights, etas).items()
                              if w))
 
 
@@ -261,7 +268,7 @@ def verify_main(n: int, weights: Optional[Dict] = None,
     """
     t0 = time.perf_counter()
     weights = (quad_weights(n, seed=seed) if weights is None
-               else _complete(weights, _quad_tuples(n)))
+               else _complete(weights, _quad_etas(n)))
     z = element_from_quad_weights(n, weights)
     cp = action_matrix(z, "permutation").charpoly()
 

@@ -134,6 +134,7 @@ class TestExitCodes:
         ["enumerate", "3trees", "--m", "4"],
         ["sdet", "eval", "--matrix-a", json.dumps([[1] * 11] * 11),
          "--matrix-b", json.dumps([[1] * 11] * 11)],
+        ["verify", "pft", "--n", "8", "--symbolic"],
     ])
     def test_stops_at_its_bound(self, argv, capsys):
         # each bound is checked before the work it bounds, so the command

@@ -291,6 +291,16 @@ class TestRrefKernel:
             assert [Fraction(v, scale) for v in ints] == values
             assert scale == lcm(*(v.denominator for v in values))
 
+    def test_scaled_integers_polynomial(self):
+        # a MultiPoly scales by the lcm of its coefficients' denominators
+        x = MultiPoly.variable("x")
+        p = x * Fraction(1, 6) + Fraction(3, 4)
+        assert (p.denominator, p.numerator) == (12, 2 * x + 9)
+        assert x.numerator is x and MultiPoly().denominator == 1
+        ints, scale = _scaled_integers([p, Fraction(1, 10), x])
+        assert scale == 60 and ints == [10 * x + 45, 6, 60 * x]
+        assert all(c.denominator == 1 for c in ints[0].terms.values())
+
     def test_polynomial_entries_rejected(self):
         x = MultiPoly.variable("x")
         with pytest.raises(StructureError):

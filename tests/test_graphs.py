@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
+from math import prod
 
 import pytest
 
@@ -10,11 +11,12 @@ from lie_elements.exactmath import (MultiPoly, ResourceLimitError,
                                     StructureError)
 from lie_elements.perm import Permutation
 from lie_elements.graphs import (FourGraph, LabeledTree, NotAThreeTreeError,
-                                 ThreeGraph, delta_sign,
+                                 ThreeGraph, _signed_three_trees, delta_sign,
                                  enumerate_four_graphs, enumerate_three_trees,
                                  enumerate_trees, is_three_tree,
                                  prufer_decode, prufer_encode,
-                                 spanning_tree_sum, tree_weight)
+                                 spanning_tree_sum, three_tree_sum,
+                                 tree_weight)
 
 
 class TestTrees:
@@ -98,15 +100,19 @@ def prufer_tree_sum(n, weights):
                Fraction(0))
 
 
-def rational_pair_weights(n, rng, den):
+def rational_weights(keys, rng, den):
     """Seeded weights p/q with q | den, about a quarter of them zero."""
     out = {}
-    for i, j in combinations(range(1, n + 1), 2):
+    for key in keys:
         zero = rng.random() < 0.25
-        out[(i, j)] = Fraction(0 if zero else rng.randint(-50, 50),
-                               rng.choice([d for d in range(1, den + 1)
-                                           if den % d == 0]))
+        out[key] = Fraction(0 if zero else rng.randint(-50, 50),
+                            rng.choice([d for d in range(1, den + 1)
+                                        if den % d == 0]))
     return out
+
+
+def rational_pair_weights(n, rng, den):
+    return rational_weights(combinations(range(1, n + 1), 2), rng, den)
 
 
 class TestSpanningTreeSum:
@@ -127,6 +133,16 @@ class TestSpanningTreeSum:
                 value = spanning_tree_sum(n, weights)
                 assert isinstance(value, Fraction)
                 assert value == prufer_tree_sum(n, weights)
+
+    def test_symbolic_fractional_coefficients(self):
+        # polynomial weights whose coefficients have denominators take the
+        # same scaled path as rational ones
+        for n in range(1, 6):
+            weights = {(i, j): MultiPoly.variable("w_%d_%d" % (i, j))
+                       * Fraction(1, i + j) + Fraction(j, 2)
+                       for i, j in combinations(range(1, n + 1), 2)}
+            assert spanning_tree_sum(n, weights) == \
+                prufer_tree_sum(n, weights)
 
     def test_cayley_count_and_zero_weights(self):
         for n in range(1, 8):
@@ -189,6 +205,46 @@ class TestThreeTrees:
         for m in (1, 2, 3):
             assert list(enumerate_three_trees(m)) == filtered_three_trees(m)
         assert len(filtered_three_trees(3)) == 735
+
+
+def signed_fraction_sum(m, weights):
+    """The signed 3-tree sum as a Fraction sum over fresh 3-trees, kept as
+    the oracle of three_tree_sum."""
+    return sum((delta_sign(tree)
+                * prod(weights[t] for t in tree.triangles)
+                for tree in enumerate_three_trees(m)), Fraction(0))
+
+
+class TestThreeTreeSum:
+    def test_rational_matches_fraction_sum(self):
+        rng = random.Random(11)
+        for m in (1, 2, 3):
+            triples = list(combinations(range(1, 2 * m + 2), 3))
+            for den in (1, 10, 2520):
+                weights = rational_weights(triples, rng, den)
+                value = three_tree_sum(m, weights)
+                assert isinstance(value, Fraction)
+                assert value == signed_fraction_sum(m, weights)
+
+    def test_symbolic_matches_fraction_sum(self):
+        for m in (1, 2, 3):
+            weights = {t: MultiPoly.variable("w_%d_%d_%d" % t)
+                       * Fraction(1, t[2]) for t in
+                       combinations(range(1, 2 * m + 2), 3)}
+            assert three_tree_sum(m, weights) == \
+                signed_fraction_sum(m, weights)
+
+    def test_signed_table_matches_fresh_listing(self):
+        for m in (1, 2, 3):
+            fresh = tuple((delta_sign(tree), tree.triangles)
+                          for tree in enumerate_three_trees(m))
+            assert _signed_three_trees(m) == fresh
+            assert _signed_three_trees(m) is _signed_three_trees(m)
+
+    def test_bound_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError):
+                three_tree_sum(4, {})
 
 
 class TestDeltaSign:

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 from fractions import Fraction
 from itertools import combinations
@@ -11,7 +12,8 @@ import pytest
 
 import lie_elements.verify as verify_mod
 
-from lie_elements.exactmath import ExactMatrix, MultiPoly, StructureError
+from lie_elements.exactmath import (ExactMatrix, MultiPoly,
+                                    ResourceLimitError, StructureError)
 from lie_elements.group_algebra import GroupAlgebraElement
 from lie_elements.lie_generators import eta
 from lie_elements.verify import (conjecture_report,
@@ -136,6 +138,20 @@ class TestPft:
             report = verify_pft(n, symbolic=True)
             assert report.passed and report.lhs == "0"
             assert report.details["case"] == "even-degenerate"
+
+    def test_symbolic_even_bound(self):
+        # n = 8 would be a 7 x 7 polynomial det in 56 variables; it stops
+        # before y is built, while numeric n = 8 still runs
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            verify_pft(8, symbolic=True)
+        assert time.perf_counter() - start < 1
+        assert verify_pft(8, seed=3).passed
+
+    def test_three_tree_bound_on_consecutive_calls(self):
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError):
+                verify_pft(9)
 
     def test_flipped_sign_fails_symbolic(self, monkeypatch):
         monkeypatch.setattr(verify_mod, "_skew_form",
@@ -313,6 +329,15 @@ class TestElementFromQuadWeights:
                 weights = quad_weights(n, seed=seed)
                 assert (element_from_quad_weights(n, weights)
                         == summed_quad_element(n, weights))
+
+    def test_etas_built_once_per_n(self):
+        for n in (4, 5, 6):
+            etas = verify_mod._quad_etas(n)
+            assert etas is verify_mod._quad_etas(n)
+            assert len(etas) == 2 * len(list(combinations(range(n), 4)))
+            for (quad, variant), g in etas.items():
+                # the same eta summed_quad_element builds for this key
+                assert g == summed_quad_element(n, {(quad, variant): 1})
 
     def test_cancelling_and_symbolic_weights(self):
         quad = (1, 2, 3, 4)
