@@ -1,7 +1,7 @@
 """Labeled trees, signed 3-trees, and 4-graphs.
 
 Trees are enumerated through Prufer sequences; spanning_tree_sum adds up the
-weights of all trees of K_n by a pruned depth-first search instead.  A
+weights of all trees of K_n by a recurrence over vertex subsets instead.  A
 3-graph is a multiset of solid triangles glued at vertices; the contractible
 ones ("3-trees") are enumerated by a pruned depth-first search and carry a
 sign delta computed from the cycle structure of the product of their
@@ -11,6 +11,8 @@ polynomial expansion.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,8 +31,9 @@ class NotAThreeTreeError(ValueError):
 
 
 THREE_TREE_EDGE_BOUND = 3
-# the most trees or 4-graphs enumerate_trees, spanning_tree_sum and
-# enumerate_four_graphs will visit
+# the most trees or 4-graphs enumerate_trees and enumerate_four_graphs will
+# visit, and the most trees spanning_tree_sum will sum over (the term count
+# of a symbolic sum)
 ENUMERATION_BOUND = 2_000_000
 
 
@@ -90,7 +93,6 @@ def prufer_decode(seq: Sequence[int], n: int) -> LabeledTree:
     for v in seq:
         degree[v] += 1
     edges = []
-    import heapq
     leaves = [v for v in range(1, n + 1) if degree[v] == 1]
     heapq.heapify(leaves)
     for v in seq:
@@ -103,29 +105,6 @@ def prufer_decode(seq: Sequence[int], n: int) -> LabeledTree:
     w = heapq.heappop(leaves)
     edges.append((u, w))
     return LabeledTree(n, tuple(edges))
-
-
-def prufer_encode(tree: LabeledTree) -> Tuple[int, ...]:
-    """Prufer sequence of a tree; inverse of prufer_decode."""
-    n = tree.n
-    if n < 3:
-        return ()
-    adj = {v: set() for v in range(1, n + 1)}
-    for i, j in tree.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    import heapq
-    leaves = [v for v in range(1, n + 1) if len(adj[v]) == 1]
-    heapq.heapify(leaves)
-    seq = []
-    for _ in range(n - 2):
-        leaf = heapq.heappop(leaves)
-        neighbor = adj[leaf].pop()
-        adj[neighbor].discard(leaf)
-        seq.append(neighbor)
-        if len(adj[neighbor]) == 1:
-            heapq.heappush(leaves, neighbor)
-    return tuple(seq)
 
 
 def enumerate_trees(n: int) -> Iterator[LabeledTree]:
@@ -158,52 +137,56 @@ def tree_weight(tree: LabeledTree, weights):
 def spanning_tree_sum(n: int, weights):
     """Sum over all spanning trees of K_n of the product of edge weights.
 
-    The table is read symmetrically, as tree_weight reads it.  Each tree is
-    visited once, as a parent map rooted at n: vertices 1..n-1 pick their
-    parent in turn, a choice that closes a cycle is pruned, and each partial
-    product is shared by every tree that extends it.  The search runs in Z:
-    the edge weights are scaled once by the lcm s of their denominators,
-    and since every tree has n-1 edges the sum is total / s^(n-1).  A
-    MultiPoly weight scales the same way (its denominator is the lcm of its
-    coefficients' denominators), so rational and symbolic tables take one
-    path; a rational table gives a Fraction.  A tree count above
-    ENUMERATION_BOUND raises ResourceLimitError.
+    The table is read symmetrically, as tree_weight reads it.  The sum is
+    built up over vertex subsets S, in increasing order as bitmasks: f(S)
+    is the weight of the trees on S, 1 on a single vertex.  Otherwise let a
+    be the least vertex of S and c the least of the others; removing a
+    from a tree on S leaves one subtree on the vertex set U that holds c,
+    joined to a by one of the edges {a, u}, u in U, and a tree on S - U
+    that holds a.  So f(S) is the sum over c in U within S - {a} of
+    f(U) * (w_au summed over u in U) * f(S - U), and each tree on S is
+    counted exactly once.  The sum runs in Z: the edge weights are scaled
+    once by the lcm s of their denominators, and since every tree has n-1
+    edges the sum is f(all) / s^(n-1).  A MultiPoly weight scales the same
+    way (its denominator is the lcm of its coefficients' denominators), so
+    rational and symbolic tables take one path; a rational table gives a
+    Fraction.  More than ENUMERATION_BOUND trees to sum over (the term
+    count of a symbolic sum) raises ResourceLimitError.
     """
     if n < 1:
         raise ValueError("n must be positive")
     _check_bound(n ** max(n - 2, 0), ENUMERATION_BOUND, "labeled trees")
-    edges = list(combinations(range(1, n + 1), 2))
+    edges = list(combinations(range(n), 2))
     scaled, scale = _scaled_integers(
-        [_pair_weight(weights, i, j) for i, j in edges])
-    table = [[0] * (n + 1) for _ in range(n + 1)]
+        [_pair_weight(weights, i + 1, j + 1) for i, j in edges])
+    table = [[0] * n for _ in range(n)]
     for (i, j), w in zip(edges, scaled):
         table[i][j] = table[j][i] = w
-    parent = [0] * (n + 1)          # 0: no parent chosen yet
-
-    def closes_cycle(v, p):
-        # the parent chain of p stops at n or at a vertex without a parent;
-        # v has none yet, so v -> p closes a cycle iff the chain stops at v
-        while p != n and parent[p]:
-            p = parent[p]
-        return p == v
-
-    def extend(v, product):
-        row = table[v]
-        if v == n - 1:
-            return product * sum(row[p] for p in range(1, n + 1)
-                                 if p != v and row[p]
-                                 and not closes_cycle(v, p))
+    full = 1 << n
+    # link[a][U]: the weight of the edges from vertex a into a set U of
+    # vertices above a, that is, U a multiple of 2^(a+1)
+    link = [[0] * full for _ in range(n)]
+    for a, (row, out) in enumerate(zip(table, link)):
+        for U in range(2 << a, full, 2 << a):
+            low = U & -U
+            out[U] = out[U ^ low] + row[low.bit_length() - 1]
+    f = [1] * full                      # 1 on each single vertex
+    for S in range(1, full):
+        rest = S & (S - 1)              # S without its least vertex a
+        if not rest:
+            continue
+        out = link[(S ^ rest).bit_length() - 1]
+        c = rest & -rest
+        free = sub = rest ^ c
         total = 0
-        for p in range(1, n + 1):
-            if p == v or not row[p] or closes_cycle(v, p):
-                continue
-            parent[v] = p
-            total = total + extend(v + 1, product * row[p])
-            parent[v] = 0
-        return total
-
-    total = extend(1, 1) if n > 1 else 1
-    return total * Fraction(1, scale ** (n - 1))
+        while True:                     # U = c plus each subset of free
+            U = c | sub
+            total = total + f[U] * out[U] * f[S ^ U]
+            if not sub:
+                break
+            sub = (sub - 1) & free
+        f[S] = total
+    return f[-1] * Fraction(1, scale ** (n - 1))
 
 
 # -- 3-graphs ------------------------------------------------------------

@@ -94,6 +94,20 @@ def _fold(key, w):
     return tuple(sorted(key)), w
 
 
+@lru_cache(maxsize=None)
+def _generators(n: int, family: str) -> Dict:
+    """The generator of each weight key of a family, built once per n:
+    "kappa" on ascending pairs, "nu" on ascending triples, "eta" on
+    (4-subset, variant) keys in the order of sdet.instances, so the keys
+    come in the order pair_weights, triple_weights and quad_weights draw
+    them.  Callers only read it."""
+    if family == "eta":
+        return {(inst.quad, inst.variant): eta(n, *inst.tuple4)
+                for inst in instances(n)}
+    make, size = {"kappa": (kappa, 2), "nu": (nu, 3)}[family]
+    return {key: make(n, *key) for key in combinations(range(1, n + 1), size)}
+
+
 def _complete(weights, keys) -> Dict:
     """The weight table on the keys, read from `weights`: each entry is
     folded, entries that fold onto one key are summed, and missing keys
@@ -143,14 +157,14 @@ def verify_mtt(n: int, weights: Optional[Dict] = None,
                ) -> VerificationReport:
     """det of the pair-weighted element on the zero-sum hyperplane equals
     n times the spanning-tree weight sum.  The tree side runs first, so its
-    resource bound stops a large n before any determinant."""
+    resource bound stops a large n before the C(n, 2) kappas are built."""
     t0 = time.perf_counter()
     pairs = combinations(range(1, n + 1), 2)
     weights = (pair_weights(n, seed=seed, symbolic=symbolic)
                if weights is None else _complete(weights, pairs))
     rhs = spanning_tree_sum(n, weights) * n
-    x = _weighted_sum(n, ((w, kappa(n, *pair))
-                          for pair, w in weights.items()))
+    kappas = _generators(n, "kappa")
+    x = _weighted_sum(n, ((w, kappas[pair]) for pair, w in weights.items()))
     lhs = action_matrix(x, "reflection").det()
     return _report("determinant/spanning-trees", n, seed, lhs == rhs,
                    lhs, rhs, t0)
@@ -194,8 +208,8 @@ def verify_pft(n: int, weights: Optional[Dict] = None,
     triples = combinations(range(1, n + 1), 3)
     weights = (triple_weights(n, seed=seed, symbolic=symbolic)
                if weights is None else _complete(weights, triples))
-    y = _weighted_sum(n, ((w, nu(n, *triple))
-                          for triple, w in weights.items()))
+    nus = _generators(n, "nu")
+    y = _weighted_sum(n, ((w, nus[triple]) for triple, w in weights.items()))
     if n % 2 == 0:
         det = action_matrix(y, "reflection").det()
         return _report("pfaffian/3-trees", n, seed, det == 0,
@@ -233,24 +247,16 @@ def verify_rank2(i: int, j: int, k: int, l: int, n: int
 # -- main characteristic-polynomial theorem ------------------------------
 
 
-@lru_cache(maxsize=None)
-def _quad_etas(n: int) -> Dict:
-    """The eta generator of each (4-subset, variant) key, built once per
-    n; callers only read it."""
-    return {(inst.quad, inst.variant): eta(n, *inst.tuple4)
-            for inst in instances(n)}
-
-
 def quad_weights(n: int, seed: Optional[int] = None) -> Dict:
     """Random rational weights for every (4-subset, variant) instance."""
-    return _random_weights(_quad_etas(n), seed, False)
+    return _random_weights(_generators(n, "eta"), seed, False)
 
 
 def element_from_quad_weights(n: int, weights: Dict) -> GroupAlgebraElement:
     """The sum of w * eta over a (4-subset, variant) weight table; missing
     instances weigh zero, and a key that names no instance raises
     StructureError."""
-    etas = _quad_etas(n)
+    etas = _generators(n, "eta")
     return _weighted_sum(n, ((w, etas[key])
                              for key, w in _complete(weights, etas).items()
                              if w))
@@ -268,7 +274,7 @@ def verify_main(n: int, weights: Optional[Dict] = None,
     """
     t0 = time.perf_counter()
     weights = (quad_weights(n, seed=seed) if weights is None
-               else _complete(weights, _quad_etas(n)))
+               else _complete(weights, _generators(n, "eta")))
     z = element_from_quad_weights(n, weights)
     cp = action_matrix(z, "permutation").charpoly()
 

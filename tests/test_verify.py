@@ -103,6 +103,16 @@ class TestMtt:
                    (3, 1): Fraction(2), (2, 3): Fraction(-3)}
         assert verify_mtt(3, weights=weights).passed
 
+    def test_tree_bound_before_kappas(self, monkeypatch):
+        # the tree side stops a large n before the C(n, 2) kappas are built
+        built = []
+        monkeypatch.setattr(verify_mod, "kappa",
+                            lambda *args: built.append(args))
+        for n in (12, 60):
+            with pytest.raises(ResourceLimitError):
+                verify_mtt(n, seed=1)
+        assert built == []
+
 
 class TestPft:
     def test_n3_symbolic(self):
@@ -332,12 +342,35 @@ class TestElementFromQuadWeights:
 
     def test_etas_built_once_per_n(self):
         for n in (4, 5, 6):
-            etas = verify_mod._quad_etas(n)
-            assert etas is verify_mod._quad_etas(n)
+            etas = verify_mod._generators(n, "eta")
+            assert etas is verify_mod._generators(n, "eta")
             assert len(etas) == 2 * len(list(combinations(range(n), 4)))
             for (quad, variant), g in etas.items():
                 # the same eta summed_quad_element builds for this key
                 assert g == summed_quad_element(n, {(quad, variant): 1})
+
+    def test_kappas_and_nus_built_once_per_n(self, monkeypatch):
+        # two verify calls at one n build each kappa and each nu once
+        calls = []
+
+        def counted(make):
+            def build(n, *key):
+                calls.append((make.__name__, n) + key)
+                return make(n, *key)
+            return build
+
+        monkeypatch.setattr(verify_mod, "kappa", counted(verify_mod.kappa))
+        monkeypatch.setattr(verify_mod, "nu", counted(verify_mod.nu))
+        verify_mod._generators.cache_clear()
+        try:
+            for seed in (1, 2):
+                assert verify_mtt(5, seed=seed).passed
+                assert verify_pft(5, seed=seed).passed
+        finally:
+            verify_mod._generators.cache_clear()
+        pairs = [("kappa", 5) + p for p in combinations(range(1, 6), 2)]
+        triples = [("nu", 5) + t for t in combinations(range(1, 6), 3)]
+        assert calls == pairs + triples
 
     def test_cancelling_and_symbolic_weights(self):
         quad = (1, 2, 3, 4)
