@@ -290,19 +290,19 @@ def enumerate_three_trees(m: int, bound=THREE_TREE_EDGE_BOUND
     return search(0)
 
 
-def delta_sign(graph: ThreeGraph, check_reorder: bool = True) -> int:
+def delta_sign(graph: ThreeGraph) -> int:
     """Sign of a 3-tree.
 
     The product of the triangles (as 3-cycles, composed in edge-list order
     with the rightmost applied first) is a single cycle on all vertices;
     writing that cycle as (a_1 ... a_n) starting from a_1 = 1, the sign is
     the parity of the permutation s -> a_s.  The value does not depend on
-    the edge order; with check_reorder the computation is repeated on the
+    the edge order; as a self-check the computation is repeated on the
     reversed edge list and compared.
     """
     n = graph.n
     value = _delta_from_order(graph.triangles, n)
-    if check_reorder and graph.m > 1:
+    if graph.m > 1:
         again = _delta_from_order(tuple(reversed(graph.triangles)), n)
         if again != value:
             raise NotAThreeTreeError("sign depends on the edge order")
@@ -349,7 +349,7 @@ def three_tree_sum(m: int, weights):
 def _signed_three_trees(m: int):
     """(delta_sign(T), T.triangles) for every 3-tree T with m triangles,
     in the order of enumerate_three_trees; each sign is computed once, with
-    its check_reorder self-check."""
+    its reversed-order self-check."""
     return tuple((delta_sign(tree), tree.triangles)
                  for tree in enumerate_three_trees(m))
 

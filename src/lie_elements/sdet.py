@@ -3,12 +3,14 @@
 sdet(A, B) sums, over all subsets I of row indices, the product of the
 determinants of the two complementary row-shuffles of A and B.  It equals
 the coefficient of x_1...x_n in det(A + B diag(x))^2, and its monomial
-coefficients are +-2^m read off an auxiliary cycle graph.
+coefficients are (-1)^(n-m) 2^m for the m cycles of an auxiliary cycle
+graph.
 
 Attaching a pair of difference-vector rows to every 4-tuple of labels turns
 sums of shuffle determinants over column subsets into coefficients of a
 characteristic polynomial; phi and the mu-table machinery below implement
-that correspondence.
+that correspondence.  mu_table(n, r) picks its kernel from r: a
+prefix-wedge search at r = n-1, integer Gram determinants otherwise.
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .exactmath import (DEGREE_BOUND, DimensionError, ExactMatrix,
                         MultiPoly, StructureError, _bareiss_det,
                         _check_bound, _scaled_integers, _wedge, rational)
+from .perm import all_permutations
 
 
 SDET_BOUND = 10          # 2^n shuffle pairs
@@ -86,7 +90,6 @@ def sdet_identity_formula(A: ExactMatrix):
 
     Equals sdet(A, identity).
     """
-    from .perm import all_permutations
     n = A.shape[0]
     if not A.is_square():
         raise DimensionError("square matrix required")
@@ -111,11 +114,20 @@ def monomial_coefficient(edges: Sequence[Tuple[int, int]]
     """Signed coefficient of the monomial whose letters form these edges.
 
     The 2n directed edges on vertices 1..n must give every vertex
-    out-degree 2 and in-degree 2.  The auxiliary graph (vertices = edges,
-    adjacency = shared initial or shared terminal vertex) is a disjoint
-    union of even cycles; the coefficient is +-2^(number of cycles), the
-    sign being the product of the parities of the two permutations cut out
-    by one alternating 2-coloring.
+    out-degree 2 and in-degree 2.  The auxiliary graph has the edges as
+    vertices, joining two when they share an initial or a terminal vertex.
+    It is the union of two perfect matchings, the out-edge pairs and the
+    in-edge pairs, so its cycles alternate between the two and are even;
+    the coefficient is +-2^m for its m cycles.
+
+    The sign is (-1)^(n-m).  Colour each cycle alternately: every vertex
+    then has one out-edge and one in-edge of each colour, so the colours
+    cut out two permutations rho and beta, and the sign is
+    sgn rho * sgn beta.  From the edge (i, rho(i)), an out-pair step
+    reaches (i, beta(i)) and an in-pair step then reaches
+    (rho^-1 beta (i), beta(i)), so the auxiliary cycles are exactly the
+    cycles of rho^-1 beta, and sgn rho * sgn beta = sgn(rho^-1 beta) =
+    (-1)^(n-m).
     """
     edges = [tuple(e) for e in edges]
     if len(edges) % 2:
@@ -146,39 +158,23 @@ def monomial_coefficient(edges: Sequence[Tuple[int, int]]
 
     seen = [False] * len(edges)
     cycles = []
-    color = [0] * len(edges)
     for start in range(len(edges)):
         if seen[start]:
             continue
-        # walk the cycle alternating initial-sharing and terminal-sharing
-        # steps; alternate colors along the way
+        # walk the cycle alternating initial- and terminal-sharing steps
         cycle = []
         idx = start
         use_init = True
-        current_color = 1
         while not seen[idx]:
             seen[idx] = True
-            color[idx] = current_color
             cycle.append(idx)
             vertex = edges[idx][0] if use_init else edges[idx][1]
             table = by_init if use_init else by_term
             idx = partner(table, vertex, idx)
             use_init = not use_init
-            current_color = -current_color
-        if len(cycle) % 2:
-            raise StructureError("odd cycle in the auxiliary graph")
         cycles.append(tuple(cycle))
-    from .perm import Permutation
-    red = [0] * n
-    blue = [0] * n
-    for idx, (i, j) in enumerate(edges):
-        target = red if color[idx] == 1 else blue
-        if target[i - 1]:
-            raise StructureError("coloring is not a pair of permutations")
-        target[i - 1] = j
-    sign = Permutation(red).sign() * Permutation(blue).sign()
     m = len(cycles)
-    return MonomialCoefficient(sign * 2 ** m, m, cycles)
+    return MonomialCoefficient((-1) ** (n - m) * 2 ** m, m, cycles)
 
 
 # -- edge systems and the coefficient functional -------------------------
@@ -243,7 +239,7 @@ def phi(system: EdgeSystem):
 # not depend on the weights, so they are computed once per (n, r) and
 # reused across weightings.
 #
-# Full tables use the Cauchy-Binet form of c(M).  Write S_I for the r x n
+# Gram tables use the Cauchy-Binet form of c(M).  Write S_I for the r x n
 # shuffle taking row s from A if s is in I, else from B.  Cauchy-Binet
 # gives sum_J det(S_I^J) det(S_Ibar^J) = det(S_I S_Ibar^T), so
 #
@@ -252,28 +248,28 @@ def phi(system: EdgeSystem):
 #
 # an r x r integer Gram matrix whose cost does not depend on n.  Since
 # G_Ibar is the transpose of G_I, the subsets I without row r are summed
-# and doubled.
+# and doubled.  mu_table builds these Gram tables for every r but n-1.
 #
-# The top_only tables (r = n-1) use exterior products on one column subset
-# instead of inner products, so verify_main's top-versus-full cross-check
-# compares two independent computations.  All n column subsets of size n-1
-# give the same shuffle-determinant sum, so c(M) = n * sum over I of
-# det(S_I^J) det(S_Ibar^J) with J = {1..n-1}.  A depth-first search visits
-# the multisets in lexicographic order.  A node holds, for each row subset
-# I of its prefix, the pair (L, R) of exterior products of the rows of S_I
-# and of S_Ibar on the columns J, as sparse {column bitmask: int} dicts;
-# the next instance, with rows (a, b), turns (L, R) into (L^a, R^b) and
-# (L^b, R^a).  A pair with a zero side adds nothing below it and is
-# dropped; a node with no pairs left has only zero leaves and is pruned.
+# The top tables (r = n-1) use exterior products on one column subset
+# instead of inner products, so verify_main's cross-check of the top table
+# against the Gram table at r = n-1 compares two independent computations.
+# All n column subsets of size n-1 give the same shuffle-determinant sum,
+# so c(M) = n * sum over I of det(S_I^J) det(S_Ibar^J) with J = {1..n-1}.
+# A depth-first search visits the multisets in lexicographic order.  A node
+# holds, for each row subset I of its prefix, the pair (L, R) of exterior
+# products of the rows of S_I and of S_Ibar on the columns J, as sparse
+# {column bitmask: int} dicts; the next instance, with rows (a, b), turns
+# (L, R) into (L^a, R^b) and (L^b, R^a).  A pair with a zero side adds
+# nothing below it and is dropped; a node with no pairs left has only zero
+# leaves and is pruned.
 # At depth r-1, L^a = <l, a> for the cofactor vector l of L, and likewise
 # rho for R, so the sum over the last instance is
 #
 #     sum over pairs of <l,a><rho,b> + <l,b><rho,a> = a^T (K + K^T) b,
 #     K = sum over pairs of l rho^T,
 #
-# and each leaf costs one bilinear form.  mu_table(6, 5, top_only=True),
-# 96,533 nonzero entries, takes about 3 s (CPython 3.11, one core of a
-# 2-vCPU VM).
+# and each leaf costs one bilinear form.  mu_table(6, 5), 96,533 nonzero
+# entries, takes about 3 s (CPython 3.11, one core of a 2-vCPU VM).
 #
 # mu_from_weights sums a table in Z: it scales the weights by the lcm of
 # their denominators, so each weight product is a product of ints, and
@@ -324,6 +320,7 @@ def _gram_c_value(products, multiset) -> int:
     return 2 * total
 
 
+@lru_cache(maxsize=None)
 def _gram_table(n: int, r: int) -> List:
     insts = instances(n)
     pairs = [p for inst in insts
@@ -371,6 +368,7 @@ def _symmetric_fold(pairs, r: int) -> List[List[int]]:
     return [[K[i][j] + K[j][i] for j in range(r)] for i in range(r)]
 
 
+@lru_cache(maxsize=None)
 def _top_table(n: int) -> List:
     """The r = n-1 table by the prefix-wedge search described above."""
     r = n - 1
@@ -419,54 +417,36 @@ def _top_table(n: int) -> List:
     return table
 
 
-_MU_TABLES: Dict[Tuple[int, int], List] = {}
-
-
-def mu_table(n: int, r: int, top_only: bool = False) -> List:
+def mu_table(n: int, r: int) -> List:
     """Nonzero integer coefficients for the t^(n-r) charpoly term.
 
     Returns a list of (multiset of instance indices, Fraction value) where
     the value already includes the 1/multiplicity! factors; the weighted
     sum over the list with per-instance weight products gives the
     coefficient.  The multisets come in the order of
-    combinations_with_replacement.  Cached per (n, r, top_only).  Needs
-    1 <= r <= n, and r = n-1 with top_only; a degree n above DEGREE_BOUND
-    raises ResourceLimitError.
+    combinations_with_replacement.  Each table is built once.  Needs
+    1 <= r <= n; a degree n above DEGREE_BOUND raises ResourceLimitError.
 
-    Full tables evaluate c(M) by Cauchy-Binet as a sum of r x r integer
-    Gram determinants det(G_I) over row subsets I, where G_I holds the
-    inner products of the rows of the shuffle S_I with those of S_Ibar;
+    r picks the kernel.  At r = n-1, c(M) is n times the
+    shuffle-determinant sum on one column subset: a depth-first
+    prefix-wedge search carries the exterior products of the rows chosen
+    so far and prunes every prefix whose products all vanish.  Every other
+    r evaluates c(M) by Cauchy-Binet as a sum of r x r integer Gram
+    determinants det(G_I) over row subsets I, where G_I holds the inner
+    products of the rows of the shuffle S_I with those of S_Ibar;
     det(G_Ibar) = det(G_I), so half the subsets are visited and doubled.
-    With top_only, c(M) is n times the shuffle-determinant sum on one
-    column subset, an independent computation: a depth-first prefix-wedge
-    search carries the exterior products of the rows chosen so far and
-    prunes every prefix whose products all vanish.
     """
     if not 1 <= r <= n:
         raise DimensionError("mu_table needs 1 <= r <= n, got r=%d n=%d"
                              % (r, n))
-    if top_only and r != n - 1:
-        raise DimensionError("top_only needs r = n-1, got r=%d n=%d"
-                             % (r, n))
     _check_bound(n, DEGREE_BOUND, "mu_table degree")
-    key = (n, r, top_only)
-    cached = _MU_TABLES.get(key)
-    if cached is not None:
-        return cached
-    table = _top_table(n) if top_only else _gram_table(n, r)
-    _MU_TABLES[key] = table
-    return table
+    return _top_table(n) if r == n - 1 else _gram_table(n, r)
 
 
-def mu_from_weights(n: int, r: int, weight_of, top_only: bool = False):
-    """Weighted charpoly coefficient from the cached integer table.
-
-    weight_of maps an Instance to its rational weight; it is called once
-    per instance.  The sum runs in Z: the weights are scaled by the lcm of
-    their denominators, the table values by the lcm of theirs, and the one
-    Fraction is built at the end.
-    """
-    table = mu_table(n, r, top_only=top_only)
+def _table_sum(n: int, r: int, table, weight_of):
+    """The weighted sum of a size-r table, in Z: the weights are scaled by
+    the lcm of their denominators, the table values by the lcm of theirs,
+    and the one Fraction is built at the end."""
     weights, scale = _scaled_integers(
         [rational(weight_of(inst)) for inst in instances(n)])
     values, denom = _scaled_integers([value for _, value in table])
@@ -476,3 +456,12 @@ def mu_from_weights(n: int, r: int, weight_of, top_only: bool = False):
             value *= weights[idx]
         total += value
     return Fraction(total, denom * scale ** r)
+
+
+def mu_from_weights(n: int, r: int, weight_of):
+    """Weighted charpoly coefficient from mu_table(n, r).
+
+    weight_of maps an Instance to its rational weight; it is called once
+    per instance.  The sum runs in Z (see _table_sum).
+    """
+    return _table_sum(n, r, mu_table(n, r), weight_of)

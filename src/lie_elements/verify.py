@@ -36,7 +36,7 @@ from .group_algebra import GroupAlgebraElement
 from .lie_generators import all_kappas, eta, kappa, lie_closure, nu, \
     repeated_commutator_set, span_contains
 from .perm import inversion_sign
-from .sdet import instances, mu_from_weights
+from .sdet import _gram_table, _table_sum, instances, mu_from_weights
 from .wedge_rep import action_matrix, action_rank, is_lie, lie_space
 
 
@@ -197,10 +197,10 @@ def verify_pft(n: int, weights: Optional[Dict] = None,
     s = (-1)^((n-1)/2); checked as an exact equality, for numeric and
     symbolic weights alike.  The 3-tree side (graphs.three_tree_sum: one
     signed triangle table per m, summed in Z) runs first, so its resource
-    bound stops a large n before the Pfaffian.  Even n: the determinant of
-    y on the hyperplane vanishes; with symbolic weights it is a polynomial
-    det of size n-1 in C(n, 3) variables, so an n above DEGREE_BOUND
-    raises ResourceLimitError before y is built.
+    bound stops a large n before the C(n, 3) nus are built.  Even n: the
+    determinant of y on the hyperplane vanishes; with symbolic weights it
+    is a polynomial det of size n-1 in C(n, 3) variables, so an n above
+    DEGREE_BOUND raises ResourceLimitError before y is built.
     """
     t0 = time.perf_counter()
     if symbolic and n % 2 == 0:
@@ -208,13 +208,14 @@ def verify_pft(n: int, weights: Optional[Dict] = None,
     triples = combinations(range(1, n + 1), 3)
     weights = (triple_weights(n, seed=seed, symbolic=symbolic)
                if weights is None else _complete(weights, triples))
+    if n % 2:
+        rhs = n * three_tree_sum((n - 1) // 2, weights)
     nus = _generators(n, "nu")
     y = _weighted_sum(n, ((w, nus[triple]) for triple, w in weights.items()))
     if n % 2 == 0:
         det = action_matrix(y, "reflection").det()
         return _report("pfaffian/3-trees", n, seed, det == 0,
                        det, 0, t0, case="even-degenerate")
-    rhs = n * three_tree_sum((n - 1) // 2, weights)
     omega = _skew_form(y)
     if not omega.is_skew_symmetric():
         return _report("pfaffian/3-trees", n, seed, False,
@@ -269,8 +270,10 @@ def verify_main(n: int, weights: Optional[Dict] = None,
     Missing instance weights are zero, and a key that names no (4-subset,
     variant) instance raises StructureError.
 
-    The r = n-1 coefficient uses the single-column-subset shortcut (n equal
-    summands); it is cross-checked against the full sum for n <= 5.
+    mu_from_weights reads the r = n-1 coefficient off the top table (one
+    column subset, n equal summands); for n <= 5 it is cross-checked
+    against the same sum over the Gram table at r = n-1, and a mismatch
+    fails the report.
     """
     t0 = time.perf_counter()
     weights = (quad_weights(n, seed=seed) if weights is None
@@ -284,10 +287,10 @@ def verify_main(n: int, weights: Optional[Dict] = None,
     ok = cp[0] == 0
     mus = []
     for r in range(1, n):
-        mu = mu_from_weights(n, r, weight_of, top_only=r == n - 1)
+        mu = mu_from_weights(n, r, weight_of)
         if r == n - 1 and n <= 5:
-            # the shortcut and the full column sum must agree
-            full = mu_from_weights(n, r, weight_of, top_only=False)
+            # the top table and the Gram table must agree
+            full = _table_sum(n, r, _gram_table(n, r), weight_of)
             ok = ok and mu == full
         mus.append(str(mu))
         ok = ok and cp[n - r] == mu

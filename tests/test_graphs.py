@@ -255,9 +255,9 @@ class TestDeltaSign:
 
     def test_edge_order_invariance(self):
         for g in enumerate_three_trees(2):
-            value = delta_sign(g, check_reorder=True)
+            value = delta_sign(g)
             shuffled = ThreeGraph(g.n, tuple(reversed(g.triangles)))
-            assert delta_sign(shuffled, check_reorder=False) == value
+            assert delta_sign(shuffled) == value
 
     def test_sign_distribution_m2(self):
         values = [delta_sign(g) for g in enumerate_three_trees(2)]
@@ -304,7 +304,7 @@ class TestDeltaSignOracle:
             for g in trees:
                 assert delta_sign(g) == permutation_delta(g.triangles, g.n)
                 for order in permutations(g.triangles):
-                    assert (delta_sign(ThreeGraph(g.n, order), False)
+                    assert (delta_sign(ThreeGraph(g.n, order))
                             == permutation_delta(order, g.n, False))
             assert len(trees) == (1, 15, 735)[m - 1]
 

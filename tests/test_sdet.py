@@ -11,6 +11,7 @@ from lie_elements import sdet as sdet_module
 from lie_elements.exactmath import (DimensionError, ExactMatrix, MultiPoly,
                                     ResourceLimitError, StructureError,
                                     _bareiss_det)
+from lie_elements.perm import Permutation
 from lie_elements.sdet import (EdgeSystem, _gram_c_value,
                                _pair_product, build_AB, instances,
                                monomial_coefficient, mu_from_weights,
@@ -134,6 +135,23 @@ class TestMonomialCoefficient:
     def test_exhaustive_n3(self):
         self._check_symbolic(3)
 
+    def test_exhaustive_n4(self):
+        self._check_symbolic(4)
+
+    def test_cycles_are_those_of_sigma_inverse_tau(self):
+        # the edges {(i, sigma(i))} and {(i, tau(i))} give as many
+        # auxiliary cycles as sigma^-1 tau has cycles, in any edge order
+        rng = random.Random(16)
+        for n in range(1, 8):
+            for _ in range(50):
+                sigma, tau = (Permutation(rng.sample(range(1, n + 1), n))
+                              for _ in range(2))
+                edges = ([(i, sigma(i)) for i in range(1, n + 1)]
+                         + [(i, tau(i)) for i in range(1, n + 1)])
+                rng.shuffle(edges)
+                assert (monomial_coefficient(edges).cycle_count
+                        == sigma.inverse().compose(tau).cycle_count())
+
 
 class TestEdgeSystems:
     def test_build_AB_example(self):
@@ -221,21 +239,20 @@ class TestMuTables:
             self._check_against_phi(n, r, sample)
 
     def test_top_table_matches_full(self):
+        # at r = n-1 mu_table reads the top table; the Gram table is the
+        # independent path
         for n in (4, 5):
-            assert mu_table(n, n - 1, top_only=True) == mu_table(n, n - 1)
+            assert mu_table(n, n - 1) == sdet_module._gram_table(n, n - 1)
 
-    @pytest.mark.parametrize("n, r, top_only", [
-        (5, 3, True),       # top_only needs r = n-1
-        (4, 4, True),
-        (5, 0, False),      # r < 1
-        (4, 5, False),      # r > n
+    @pytest.mark.parametrize("n, r", [
+        (5, 0),             # r < 1
+        (4, 5),             # r > n
     ])
-    def test_bad_arguments(self, n, r, top_only):
+    def test_bad_arguments(self, n, r):
         with pytest.raises(DimensionError):
-            mu_table(n, r, top_only=top_only)
+            mu_table(n, r)
         with pytest.raises(DimensionError):
-            mu_from_weights(n, r, lambda inst: Fraction(1),
-                            top_only=top_only)
+            mu_from_weights(n, r, lambda inst: Fraction(1))
 
     def test_non_rational_weight(self):
         x = MultiPoly.variable("x")
@@ -326,11 +343,11 @@ def _oracle_top_table(n):
     return table
 
 
-def _oracle_mu(n, r, weight_of, top_only):
+def _oracle_mu(n, r, weight_of):
     """The weighted sum in Fractions, one weight_of call per table slot."""
     insts = instances(n)
     total = Fraction(0)
-    for multiset, value in mu_table(n, r, top_only=top_only):
+    for multiset, value in mu_table(n, r):
         prod = value
         for idx in multiset:
             prod = prod * weight_of(insts[idx])
@@ -341,7 +358,7 @@ def _oracle_mu(n, r, weight_of, top_only):
 class TestPrefixWedgeSearch:
     def test_top_tables_match_oracle(self):
         for n in (4, 5):
-            assert mu_table(n, n - 1, top_only=True) == _oracle_top_table(n)
+            assert mu_table(n, n - 1) == _oracle_top_table(n)
 
     def test_top_table_n6_sampled_against_gram(self):
         # present and absent multisets alike against the Gram c-value
@@ -349,7 +366,7 @@ class TestPrefixWedgeSearch:
         pairs = [p for inst in insts
                  for p in (inst.tuple4[:2], inst.tuple4[2:])]
         products = [[_pair_product(p, q) for q in pairs] for p in pairs]
-        table = mu_table(6, 5, top_only=True)
+        table = mu_table(6, 5)
         values = dict(table)
         rng = random.Random(11)
         sample = [m for m, _ in rng.sample(table, 30)]
@@ -376,20 +393,20 @@ class TestPrefixWedgeSearch:
 
         monkeypatch.setattr(sdet_module, "_wedge", checked_wedge)
         monkeypatch.setattr(sdet_module, "_symmetric_fold", checked_fold)
-        assert sdet_module._top_table(5) == mu_table(5, 4, top_only=True)
+        # past the cache, so the checked kernels run
+        assert sdet_module._top_table.__wrapped__(5) == mu_table(5, 4)
 
     @pytest.mark.slow
     def test_top_table_n6_matches_oracle(self):
-        assert mu_table(6, 5, top_only=True) == _oracle_top_table(6)
+        assert mu_table(6, 5) == _oracle_top_table(6)
 
 
 class TestWeightedSums:
     def test_matches_fraction_loop(self):
         rng = random.Random(12)
-        shapes = [(n, r, False) for n in (4, 5) for r in range(1, n + 1)]
-        shapes += [(n, n - 1, True) for n in (4, 5)]
-        shapes += [(6, r, False) for r in (1, 2, 3)]
-        for n, r, top_only in shapes:
+        shapes = [(n, r) for n in (4, 5) for r in range(1, n + 1)]
+        shapes += [(6, r) for r in (1, 2, 3)]
+        for n, r in shapes:
             for den in (1, 10, 2520):
                 weights = {}
                 for inst in instances(n):
@@ -399,21 +416,19 @@ class TestWeightedSums:
                                                                      2520)
                                                          if den % d == 0]))
                 weights[instances(n)[0]] = Fraction(0)
-                value = mu_from_weights(n, r, weights.__getitem__,
-                                        top_only=top_only)
+                value = mu_from_weights(n, r, weights.__getitem__)
                 assert type(value) is Fraction
-                assert value == _oracle_mu(n, r, weights.__getitem__,
-                                           top_only)
+                assert value == _oracle_mu(n, r, weights.__getitem__)
 
     def test_fractional_table_values(self, monkeypatch):
         # every table the theorem gives has integer values; the sum must
         # still be exact for values with denominators
         table = [((0, 0), Fraction(1, 2)), ((0, 1), Fraction(-3, 4)),
                  ((1, 1), Fraction(5))]
-        monkeypatch.setitem(sdet_module._MU_TABLES, (4, 2, False), table)
+        monkeypatch.setattr(sdet_module, "_gram_table", lambda n, r: table)
         weights = dict(zip(instances(4), (Fraction(2, 3), Fraction(-5, 7))))
         value = mu_from_weights(4, 2, weights.__getitem__)
-        assert value == _oracle_mu(4, 2, weights.__getitem__, False)
+        assert value == _oracle_mu(4, 2, weights.__getitem__)
         assert value == (Fraction(1, 2) * Fraction(4, 9)
                          + Fraction(3, 4) * Fraction(10, 21)
                          + 5 * Fraction(25, 49))

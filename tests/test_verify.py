@@ -10,6 +10,7 @@ from itertools import combinations
 
 import pytest
 
+import lie_elements.sdet as sdet_module
 import lie_elements.verify as verify_mod
 
 from lie_elements.exactmath import (ExactMatrix, MultiPoly,
@@ -163,6 +164,21 @@ class TestPft:
             with pytest.raises(ResourceLimitError):
                 verify_pft(9)
 
+    def test_tree_bound_before_nus(self, monkeypatch):
+        # the 3-tree side stops a large odd n before the C(n, 3) nus are
+        # built; the generator cache is cleared so that nus an earlier call
+        # built cannot hide a build
+        built = []
+        monkeypatch.setattr(verify_mod, "nu", lambda *args: built.append(args))
+        verify_mod._generators.cache_clear()
+        try:
+            for n in (9, 41):
+                with pytest.raises(ResourceLimitError):
+                    verify_pft(n, seed=1)
+        finally:
+            verify_mod._generators.cache_clear()
+        assert built == []
+
     def test_flipped_sign_fails_symbolic(self, monkeypatch):
         monkeypatch.setattr(verify_mod, "_skew_form",
                             _swapped(verify_mod._skew_form))
@@ -245,6 +261,24 @@ class TestMain:
                             verify_main(5, weights=full))
         assert report.passed and expected.passed
         assert (report.lhs, report.rhs) == (expected.lhs, expected.rhs)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("builder", ["top", "gram"])
+    def test_cross_check_is_live(self, monkeypatch, n, builder):
+        # one value off by one in either table at r = n-1 fails the
+        # report; verify_main reads the top table through sdet and the
+        # Gram table through its own import
+        module, name = ((sdet_module, "_top_table") if builder == "top"
+                        else (verify_mod, "_gram_table"))
+        real = getattr(module, name)
+
+        def off_by_one(*args):
+            (multiset, value), *rest = real(*args)
+            return [(multiset, value + 1)] + rest
+
+        assert verify_main(n, seed=3).passed
+        monkeypatch.setattr(module, name, off_by_one)
+        assert verify_main(n, seed=3).status == "FAIL"
 
     @pytest.mark.parametrize("key", [
         ((2, 1, 3, 4), "T1"),       # not ascending
