@@ -1,8 +1,8 @@
 """Exact arithmetic kernels: rationals, sparse multivariate polynomials and
-dense matrices over either, with determinant / charpoly / Pfaffian / nullspace,
+dense matrices over either, with determinant / charpoly / Pfaffian / rank,
 two determinant kernels (Bareiss over Z, memoized expansion over Q[x]), and
-one incremental integer echelon, _insert, behind rref, rank, nullspace and
-every span.
+one incremental integer echelon, Span, behind every rank, kernel and span
+test.
 
 No floating point anywhere; every operation is exact over Q or Q[w, x, ...].
 """
@@ -408,32 +408,11 @@ class ExactMatrix:
             rows.append(ints)
         return Fraction(_bareiss_det(rows), scale)
 
-    def _echelon(self):
-        if not self._is_rational():
-            raise StructureError("rref and rank need rational entries")
-        return _forward_pass(_integer_row(dict(enumerate(row)))
-                             for row in self.data)
-
-    def rref(self):
-        """Reduced row echelon form (over rationals).
-
-        Returns (matrix-as-lists, pivot column list); the rows after the
-        rank are zero.  Computed by the integer elimination kernel below,
-        so no Fraction arithmetic happens before the final division."""
-        echelon = self._echelon()
-        reduced = _reduced_rows(echelon, self.cols)
-        reduced.extend([Fraction(0)] * self.cols
-                       for _ in range(self.rows - len(echelon)))
-        return reduced, sorted(echelon)
-
     def rank(self) -> int:
-        """The rank, from the echelon form alone."""
-        return len(self._echelon())
-
-    def nullspace(self):
-        """Exact basis of the right kernel; empty iff full column rank."""
-        reduced, pivots = self.rref()
-        return _kernel_basis(reduced, pivots, self.cols)
+        """The rank, from the echelon form alone; rational entries only."""
+        if not self._is_rational():
+            raise StructureError("rank needs rational entries")
+        return len(Span(dict(enumerate(row)) for row in self.data))
 
     def trace(self):
         if not self.is_square():
@@ -570,11 +549,12 @@ def _bareiss_det(rows):
 #
 # Rows are sparse primitive integer rows {col: int}.  A row of rationals is
 # scaled by the lcm of its denominators and divided by the gcd of its
-# numerators, which leaves its row space unchanged.  An echelon is a dict
-# {pivot col: row}, and _insert is the one place a row is reduced against
-# it.  Every elimination step is fraction-free (Bareiss 1968): an integer
-# combination of two rows, divided by its content.  The pivots are divided
-# out once, at the end, by the back substitution of _reduced_rows.
+# numerators, which leaves its row space unchanged.  A Span keeps them as
+# an echelon {pivot col: row}, and Span.insert is the one place a row is
+# reduced against it.  Every elimination step is fraction-free (Bareiss
+# 1968): an integer combination of two rows, divided by its content.  The
+# pivots are divided out once, at the end, by the back substitution of
+# Span.reduced.
 
 
 def _primitive(row):
@@ -612,59 +592,51 @@ def _eliminate(row, pivot_row, col):
     return _primitive(out) if out else out
 
 
-def _insert(echelon, row) -> bool:
-    """Reduce the primitive integer row by the pivots of the echelon
-    {pivot col: row}, in ascending order, and keep what is left under its
-    least column; True iff the row enlarged the span.  Each pivot row is
-    zero left of its pivot, so a step clears its column and touches only
-    columns to the right: what is left is free of every pivot column."""
-    for col in sorted(echelon):
-        if col in row:
-            row = _eliminate(row, echelon[col], col)
-    if not row:
-        return False
-    echelon[min(row)] = row
-    return True
+class Span:
+    """The row space of sparse rational rows {col: value}, held as an
+    echelon {pivot col: primitive integer row}, each row zero left of its
+    pivot; len() is the rank.  The constructor inserts its rows in order."""
 
+    __slots__ = ("rows",)
 
-def _forward_pass(rows):
-    """Echelon form {pivot col: row} of the integer rows, inserted in
-    order; each row is zero left of its pivot."""
-    echelon = {}
-    for row in rows:
-        _insert(echelon, row)
-    return echelon
+    def __init__(self, rows=()):
+        self.rows = {}
+        for row in rows:
+            self.insert(row)
 
+    def __len__(self):
+        return len(self.rows)
 
-def _kernel_basis(reduced, pivots, ncols):
-    """Kernel vectors of a reduced echelon form (its rows in pivot order),
-    one per free column, with a 1 in that column."""
-    basis = []
-    for f in sorted(set(range(ncols)).difference(pivots)):
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for row, pcol in zip(reduced, pivots):
-            vec[pcol] = -row[f]
-        basis.append(vec)
-    return basis
+    def insert(self, row) -> bool:
+        """Reduce the row by the pivots, in ascending order, and keep what
+        is left under its least column; True iff the row enlarged the span.
+        A step clears its pivot column and touches only columns to the
+        right, so what is left is free of every pivot column."""
+        row = _integer_row(row)
+        for col in sorted(self.rows):
+            if col in row:
+                row = _eliminate(row, self.rows[col], col)
+        if not row:
+            return False
+        self.rows[min(row)] = row
+        return True
 
+    def reduced(self):
+        """Back substitution in integers: the rows {col: Fraction} of the
+        reduced echelon form, in pivot order, each with a 1 at its pivot."""
+        done = {}
+        for col in sorted(self.rows, reverse=True):
+            row = self.rows[col]
+            for c in [c for c in row if c != col and c in done]:
+                row = _eliminate(row, done[c], c)
+            done[col] = row
+        return [{c: Fraction(v, done[col][col]) for c, v in done[col].items()}
+                for col in sorted(done)]
 
-def _reduced_rows(echelon, ncols):
-    """Back substitution in integers: the dense Fraction rows of the
-    reduced echelon form of {pivot col: row}, in pivot order."""
-    done = {}
-    for col in sorted(echelon, reverse=True):
-        row = echelon[col]
-        for c in [c for c in row if c != col and c in done]:
-            row = _eliminate(row, done[c], c)
-        done[col] = row
-    zero = Fraction(0)
-    out = []
-    for col in sorted(done):
-        row = done[col]
-        pivot = row[col]
-        dense = [zero] * ncols
-        for c, v in row.items():
-            dense[c] = Fraction(v, pivot)
-        out.append(dense)
-    return out
+    def kernel(self, ncols):
+        """The right kernel on columns 0..ncols-1: one vector {col:
+        Fraction} per free column f, in ascending order, with -row[f] at
+        the pivot of each reduced row and a 1 at f, its last column."""
+        pivots, reduced = sorted(self.rows), self.reduced()
+        return [{**{p: -row[f] for p, row in zip(pivots, reduced) if f in row},
+                 f: Fraction(1)} for f in range(ncols) if f not in self.rows]

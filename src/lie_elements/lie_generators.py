@@ -11,12 +11,12 @@ reports.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations as index_permutations
+from types import MappingProxyType
 from typing import List, Sequence, Tuple
 
-from .exactmath import (DEGREE_BOUND, ExactMatrix, _check_bound, _insert,
-                        _integer_row, _reduced_rows)
+from .exactmath import DEGREE_BOUND, ExactMatrix, Span, _check_bound
 from .group_algebra import GroupAlgebraElement
 from .perm import Permutation, all_permutations
 
@@ -42,52 +42,31 @@ def eta(n: int, i: int, j: int, k: int, l: int) -> GroupAlgebraElement:
                           (-1, (i, j, l, k)), (-1, (i, k, l, j)))
 
 
-# -- linear algebra over coefficient vectors ------------------------------
+# -- spans in Q[S_n] ------------------------------------------------------
 
-def element_vector(x: GroupAlgebraElement, perms) -> List[Fraction]:
-    return [x.coeff(p) for p in perms]
+
+@lru_cache(maxsize=None)
+def _columns(n: int):
+    """Read-only map of S_n to columns, in lexicographic image order."""
+    return MappingProxyType({p: i for i, p in enumerate(all_permutations(n))})
+
+
+def _row(x: GroupAlgebraElement):
+    """The coefficients of x as a sparse row {column: coefficient}."""
+    column = _columns(x.n)
+    return {column[p]: c for p, c in x.terms.items()}
 
 
 def span_rank(elements: Sequence[GroupAlgebraElement]) -> int:
-    if not elements:
-        return 0
-    echelon = _Echelon(elements[0].n)
-    return sum(echelon.insert(x) for x in elements)
-
-
-class _Echelon:
-    """Incremental echelon basis of a span in Q[S_n], kept as primitive
-    integer rows over permutation columns (the kernel of ExactMatrix.rref);
-    elements() is the reduced echelon basis of the span."""
-
-    def __init__(self, n: int):
-        self.perms = all_permutations(n)
-        self.column = {p: i for i, p in enumerate(self.perms)}
-        self.rows = {}      # pivot column -> integer row
-
-    def insert(self, x: GroupAlgebraElement) -> bool:
-        """Reduce and insert; True if the element enlarged the span."""
-        return _insert(self.rows, _integer_row(
-            {self.column[p]: c for p, c in x.terms.items()}))
-
-    def elements(self, n):
-        out = []
-        for row in _reduced_rows(self.rows, len(self.perms)):
-            terms = {self.perms[i]: c for i, c in enumerate(row) if c}
-            out.append(GroupAlgebraElement(n, terms))
-        return out
+    return len(Span(map(_row, elements)))
 
 
 def span_contains(basis: Sequence[GroupAlgebraElement],
                   elements: Sequence[GroupAlgebraElement]) -> bool:
     """True iff every element lies in the span of the basis: the basis is
-    inserted once, then no element may enlarge the echelon."""
-    if not elements:
-        return True
-    echelon = _Echelon(elements[0].n)
-    for b in basis:
-        echelon.insert(b)
-    return not any(echelon.insert(x) for x in elements)
+    inserted once, then no element may enlarge the span."""
+    span = Span(map(_row, basis))
+    return not any(span.insert(_row(x)) for x in elements)
 
 
 # -- relations and representations ----------------------------------------
@@ -149,17 +128,18 @@ def span_dims(n: int, indices: Tuple[int, int, int, int] = (1, 2, 3, 4)
     return span_rank(kappas), span_rank(nus), dim_h
 
 
-def _index_action_matrix(sigma: Permutation, n: int = 4) -> ExactMatrix:
+def _index_action_matrix(sigma: Permutation) -> ExactMatrix:
     """2x2 matrix of sigma permuting eta indices, basis
-    {eta_1234, eta_1342}.  The cycle (1234) occurs in eta_1234 only, with
-    coefficient 1, and (1324) in eta_1342 only, with coefficient -1, so
-    their coefficients in an image are its coordinates."""
-    b1, b2 = eta(n, 1, 2, 3, 4), eta(n, 1, 3, 4, 2)
-    p1 = Permutation.from_cycles(n, [(1, 2, 3, 4)])
-    p2 = Permutation.from_cycles(n, [(1, 3, 2, 4)])
+    {eta_1234, eta_1342}, built in S_4 (it is the same in every degree).
+    The cycle (1234) occurs in eta_1234 only, with coefficient 1, and
+    (1324) in eta_1342 only, with coefficient -1, so their coefficients in
+    an image are its coordinates."""
+    b1, b2 = eta(4, 1, 2, 3, 4), eta(4, 1, 3, 4, 2)
+    p1 = Permutation.from_cycles(4, [(1, 2, 3, 4)])
+    p2 = Permutation.from_cycles(4, [(1, 3, 2, 4)])
     cols = []
     for base in ((1, 2, 3, 4), (1, 3, 4, 2)):
-        image = eta(n, *[sigma(t) for t in base])
+        image = eta(4, *[sigma(t) for t in base])
         c1, c2 = image.coeff(p1), -image.coeff(p2)
         if b1.scale(c1) + b2.scale(c2) != image:
             raise AssertionError("eta image outside the 2-dim span")
@@ -167,10 +147,10 @@ def _index_action_matrix(sigma: Permutation, n: int = 4) -> ExactMatrix:
     return ExactMatrix([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
 
 
-def index_rep_matrices(n: int = 4) -> List[ExactMatrix]:
+def index_rep_matrices() -> List[ExactMatrix]:
     """Matrices of the adjacent transpositions (12), (23), (34) acting on
     the 2-dimensional eta span by index relabeling."""
-    return [_index_action_matrix(Permutation.from_cycles(4, [(a, a + 1)]), n)
+    return [_index_action_matrix(Permutation.from_cycles(4, [(a, a + 1)]))
             for a in (1, 2, 3)]
 
 
@@ -187,10 +167,10 @@ def _no_common_line(matrices) -> bool:
     return ExactMatrix([w.data[0] + w.data[1] for w in words]).rank() == 4
 
 
-def no_invariant_line(n: int = 4) -> bool:
+def no_invariant_line() -> bool:
     """True iff the index-permutation action on the eta span admits no
     common invariant line over the algebraic closure."""
-    return _no_common_line(index_rep_matrices(n))
+    return _no_common_line(index_rep_matrices())
 
 
 # -- bracket closure and repeated commutators ------------------------------
@@ -203,17 +183,19 @@ def lie_closure(generators: Sequence[GroupAlgebraElement], n: int,
     only; iteration stops when the dimension stabilizes.  A degree n above
     `bound` raises ResourceLimitError; bound=None lifts it."""
     _check_bound(n, bound, "lie_closure degree")
-    echelon = _Echelon(n)
-    frontier = [g for g in generators if echelon.insert(g)]
+    span = Span()
+    frontier = [g for g in generators if span.insert(_row(g))]
     while frontier:
         new_frontier = []
         for x in frontier:
             for g in generators:
                 y = x.bracket(g)
-                if echelon.insert(y):
+                if span.insert(_row(y)):
                     new_frontier.append(y)
         frontier = new_frontier
-    return echelon.elements(n)
+    perms = all_permutations(n)
+    return [GroupAlgebraElement(n, {perms[c]: v for c, v in row.items()})
+            for row in span.reduced()]
 
 
 def all_kappas(n: int) -> List[GroupAlgebraElement]:
@@ -224,7 +206,10 @@ def all_kappas(n: int) -> List[GroupAlgebraElement]:
 def repeated_commutator_set(n: int) -> List[GroupAlgebraElement]:
     """All (n-1)! left-nested commutators
     [...[kappa_{1 i_1}, kappa_{2 i_2}], ...], kappa_{n-1, i_{n-1}}]
-    with s+1 <= i_s <= n."""
+    with s+1 <= i_s <= n; n < 2 raises ValueError, since there is no
+    commutator to take."""
+    if n < 2:
+        raise ValueError("repeated commutators need n >= 2, got %d" % n)
     _check_bound(n, DEGREE_BOUND, "repeated commutator degree")
     out = []
 

@@ -321,7 +321,7 @@ def _gram_c_value(products, multiset) -> int:
 
 
 @lru_cache(maxsize=None)
-def _gram_table(n: int, r: int) -> List:
+def _gram_table(n: int, r: int) -> Tuple:
     insts = instances(n)
     pairs = [p for inst in insts
              for p in (inst.tuple4[:2], inst.tuple4[2:])]
@@ -340,7 +340,7 @@ def _gram_table(n: int, r: int) -> List:
                 if count == 2:
                     denom *= 2
             table.append((multiset, Fraction(c, denom)))
-    return table
+    return tuple(table)
 
 
 def _cofactors(form, r: int) -> List[int]:
@@ -369,7 +369,7 @@ def _symmetric_fold(pairs, r: int) -> List[List[int]]:
 
 
 @lru_cache(maxsize=None)
-def _top_table(n: int) -> List:
+def _top_table(n: int) -> Tuple:
     """The r = n-1 table by the prefix-wedge search described above."""
     r = n - 1
 
@@ -414,17 +414,18 @@ def _top_table(n: int) -> List:
                 prefix.pop()
 
     visit([({0: 1}, {0: 1})], 0, 0)
-    return table
+    return tuple(table)
 
 
-def mu_table(n: int, r: int) -> List:
+def mu_table(n: int, r: int) -> Tuple:
     """Nonzero integer coefficients for the t^(n-r) charpoly term.
 
-    Returns a list of (multiset of instance indices, Fraction value) where
+    Returns a tuple of (multiset of instance indices, Fraction value) where
     the value already includes the 1/multiplicity! factors; the weighted
-    sum over the list with per-instance weight products gives the
+    sum over the tuple with per-instance weight products gives the
     coefficient.  The multisets come in the order of
-    combinations_with_replacement.  Each table is built once.  Needs
+    combinations_with_replacement.  Each table is built once, and shared
+    as a tuple so that no caller can change it.  Needs
     1 <= r <= n; a degree n above DEGREE_BOUND raises ResourceLimitError.
 
     r picks the kernel.  At r = n-1, c(M) is n times the

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 from typing import Dict, Optional
 
 from .exactmath import DEGREE_BOUND, ExactMatrix, MultiPoly, \
@@ -100,12 +101,14 @@ def _generators(n: int, family: str) -> Dict:
     "kappa" on ascending pairs, "nu" on ascending triples, "eta" on
     (4-subset, variant) keys in the order of sdet.instances, so the keys
     come in the order pair_weights, triple_weights and quad_weights draw
-    them.  Callers only read it."""
+    them.  The mapping is read-only."""
     if family == "eta":
-        return {(inst.quad, inst.variant): eta(n, *inst.tuple4)
-                for inst in instances(n)}
+        return MappingProxyType({(inst.quad, inst.variant):
+                                 eta(n, *inst.tuple4)
+                                 for inst in instances(n)})
     make, size = {"kappa": (kappa, 2), "nu": (nu, 3)}[family]
-    return {key: make(n, *key) for key in combinations(range(1, n + 1), size)}
+    return MappingProxyType({key: make(n, *key) for key in
+                             combinations(range(1, n + 1), size)})
 
 
 def _complete(weights, keys) -> Dict:
@@ -241,7 +244,7 @@ def verify_rank2(i: int, j: int, k: int, l: int, n: int
     rhs = ExactMatrix([[v[p] * alpha[q] + alpha[p] * v[q] for q in range(n)]
                        for p in range(n)])
     return _report("rank-2 form", n, None, lhs == rhs,
-                   lhs.data, rhs.data, t0, indices=[i, j, k, l],
+                   lhs, rhs, t0, indices=[i, j, k, l],
                    rank=lhs.rank())
 
 
@@ -334,8 +337,11 @@ def conjecture_report(n: int, results_dir: Optional[str] = None
     repeated-commutator family modulo K_n.  Only closure <= space is a
     hard assertion; everything else is informational (status REPORT).
     The quotient dims follow (n-1)^2, not (n-1)!; the factorial_n_minus_1
-    key stays because the lie-space goldens hash this report's lhs.
+    key stays because the lie-space goldens hash this report's lhs.  n < 2
+    raises ValueError, as repeated_commutator_set does.
     """
+    if n < 2:
+        raise ValueError("conjecture_report needs n >= 2, got %d" % n)
     t0 = time.perf_counter()
     space = lie_space(n)
     closure = lie_closure(all_kappas(n), n)

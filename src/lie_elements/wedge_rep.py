@@ -15,9 +15,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import List
 
-from .exactmath import (DEGREE_BOUND, ExactMatrix, _check_bound,
-                        _forward_pass, _kernel_basis, _primitive,
-                        _reduced_rows, _scaled_integers, rational)
+from .exactmath import (DEGREE_BOUND, ExactMatrix, Span, _check_bound,
+                        _scaled_integers, rational)
 from .group_algebra import GroupAlgebraElement
 from .perm import all_permutations, inversion_sign
 
@@ -155,15 +154,15 @@ def lie_space(n: int, bound=DEGREE_BOUND) -> LieSpaceResult:
 
     One unknown per permutation; one homogeneous equation per entry of each
     (multiplicative - derivation) matrix difference, for the degrees m of
-    _informative_degrees (the others add nothing to the row space), as a
-    primitive sparse integer row for the integer elimination kernel.  The
-    kernel basis comes from reduced echelon form with unknowns in
-    lexicographic image order, so the output is deterministic.  A degree
-    n above `bound` raises ResourceLimitError; bound=None lifts it.
+    _informative_degrees (the others add nothing to the row space),
+    inserted into one Span as soon as its degree is built.  The kernel
+    basis comes from reduced echelon form with unknowns in lexicographic
+    image order, so the output is deterministic.  A degree n above `bound`
+    raises ResourceLimitError; bound=None lifts it.
     """
     _check_bound(n, bound, "lie_space degree")
     perms = all_permutations(n)
-    rows = []
+    span = Span()
     for m in _informative_degrees(n):
         # blocks[(row, col)][perm index] -> integer coefficient
         blocks = {}
@@ -176,15 +175,10 @@ def lie_space(n: int, bound=DEGREE_BOUND) -> LieSpaceResult:
                     entry = blocks.setdefault((row, col), {})
                     entry[gi] = entry.get(gi, 0) - sign
         for key in sorted(blocks):
-            row = {gi: v for gi, v in blocks[key].items() if v}
-            if row:
-                rows.append(_primitive(row))
-    echelon = _forward_pass(rows)
-    kernel = _kernel_basis(_reduced_rows(echelon, len(perms)),
-                           sorted(echelon), len(perms))
+            span.insert(blocks[key])
     return LieSpaceResult(n=n, basis=[
-        GroupAlgebraElement(n, {perms[i]: c for i, c in enumerate(vec) if c})
-        for vec in kernel])
+        GroupAlgebraElement(n, {perms[i]: c for i, c in vec.items()})
+        for vec in span.kernel(len(perms))])
 
 
 def action_matrix(x: GroupAlgebraElement, representation: str = "permutation"

@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lie_elements.exactmath import (DimensionError, ExactMatrix, MultiPoly,
-                                    StructureError, _bareiss_det,
+                                    Span, StructureError, _bareiss_det,
                                     _eliminate, _expansion_det,
-                                    _forward_pass, _grlex_rank, _insert,
-                                    _integer_row,
+                                    _grlex_rank, _integer_row,
                                     _scaled_integers, coeff_at, rational)
 
 
@@ -127,7 +126,7 @@ class TestExactMatrix:
     def test_rank_nullspace(self):
         m = ExactMatrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
         assert m.rank() == 2
-        for vec in m.nullspace():
+        for vec in span_nullspace(m.data, m.cols):
             assert all(sum(row[j] * vec[j] for j in range(3)) == 0
                        for row in m.data)
 
@@ -165,7 +164,7 @@ class TestExactMatrix:
         assert m @ ExactMatrix.identity(3) == m
 
 
-# -- the integer elimination kernel behind rref ---------------------------
+# -- the integer elimination kernel: Span --------------------------------
 
 def dense_rref(data, cols):
     """Dense Fraction Gauss-Jordan: the rref the integer kernel replaced,
@@ -192,6 +191,22 @@ def dense_rref(data, cols):
     return m, pivots
 
 
+def span_rref(data, cols):
+    """Dense view of Span.reduced() in dense_rref's shape: the reduced
+    rows with the zero rows after them, and the pivot columns."""
+    reduced = Span(dict(enumerate(row)) for row in data).reduced()
+    dense = [[row.get(c, Fraction(0)) for c in range(cols)]
+             for row in reduced]
+    dense += [[Fraction(0)] * cols for _ in range(len(data) - len(reduced))]
+    return dense, [min(row) for row in reduced]
+
+
+def span_nullspace(data, cols):
+    """Dense view of Span.kernel(cols)."""
+    kernel = Span(dict(enumerate(row)) for row in data).kernel(cols)
+    return [[vec.get(c, Fraction(0)) for c in range(cols)] for vec in kernel]
+
+
 def random_rows(rng, rows, cols, rank, dens=(1,)):
     """rows x cols rational matrix of rank <= rank, built as random
     combinations of `rank` sparse random rows with denominators from
@@ -213,9 +228,9 @@ def random_rows(rng, rows, cols, rank, dens=(1,)):
 class TestRrefKernel:
     def check(self, data, cols):
         m = ExactMatrix(data)
-        assert m.rref() == dense_rref(data, cols)
+        assert span_rref(data, cols) == dense_rref(data, cols)
         # rank stops after the forward pass, and must agree with rref
-        assert m.rank() == len(m.rref()[1])
+        assert m.rank() == len(span_rref(data, cols)[1])
 
     def test_random_against_dense_oracle(self):
         rng = random.Random(97)
@@ -238,22 +253,23 @@ class TestRrefKernel:
     def test_negative_pivots(self):
         data = [[-2, 4, -6], [0, -3, 9], [-4, 5, 1]]
         self.check(data, 3)
-        reduced, pivots = ExactMatrix(data).rref()
+        reduced, pivots = span_rref(data, 3)
         assert pivots == [0, 1, 2]
         assert reduced == ExactMatrix.identity(3).data
 
     def test_empty_shapes(self):
         # 0 x k cannot be built (no rows means no columns); k x 0 can
-        assert ExactMatrix([]).rref() == ([], [])
-        assert ExactMatrix([[], [], []]).rref() == ([[], [], []], [])
-        assert ExactMatrix([[], []]).nullspace() == []
-        assert ExactMatrix([[0, 0, 0]]).rref() == ([[0, 0, 0]], [])
-        assert ExactMatrix([[0, 0, 0]]).nullspace() == \
+        assert span_rref([], 0) == dense_rref([], 0) == ([], [])
+        assert span_rref([[], [], []], 0) == dense_rref([[], [], []], 0) \
+            == ([[], [], []], [])
+        assert span_nullspace([[], []], 0) == []
+        assert span_rref([[0, 0, 0]], 3) == dense_rref([[0, 0, 0]], 3) \
+            == ([[0, 0, 0]], [])
+        assert span_nullspace([[0, 0, 0]], 3) == \
             ExactMatrix.identity(3).data
 
     def test_trailing_zero_rows(self):
-        reduced, pivots = ExactMatrix(
-            [[1, 2], [2, 4], [3, 6], [0, 0]]).rref()
+        reduced, pivots = span_rref([[1, 2], [2, 4], [3, 6], [0, 0]], 2)
         assert pivots == [0]
         assert reduced == [[1, 2], [0, 0], [0, 0], [0, 0]]
 
@@ -269,8 +285,7 @@ class TestRrefKernel:
         rng = random.Random(41)
         for _ in range(30):
             data = random_rows(rng, 8, 6, 4, (1, 2, 3, 5))
-            echelon = _forward_pass([_integer_row(dict(enumerate(r)))
-                                     for r in data])
+            echelon = Span(dict(enumerate(r)) for r in data).rows
             for col, row in echelon.items():
                 assert gcd(*row.values()) == 1
                 assert min(row) == col
@@ -304,30 +319,27 @@ class TestRrefKernel:
     def test_polynomial_entries_rejected(self):
         x = MultiPoly.variable("x")
         with pytest.raises(StructureError):
-            ExactMatrix([[x, 1], [1, 0]]).rref()
-        with pytest.raises(StructureError):
             ExactMatrix([[x, 1], [1, 0]]).rank()
 
     def test_insert(self):
         # the one place a row is reduced: a dependent row leaves the
         # echelon unchanged, an independent one is reduced by every pivot
         # and kept under its least column
-        echelon = {}
-        assert _insert(echelon, {0: 1, 1: 2, 2: 3})
-        assert _insert(echelon, {1: 1, 2: 1})
-        assert not _insert(echelon, {0: 1, 1: 3, 2: 4})
-        assert not _insert(echelon, {})
-        assert sorted(echelon) == [0, 1]
-        assert _insert(echelon, {0: 2, 1: 1, 2: 5})
-        assert echelon[2] == {2: 1}
+        span = Span()
+        assert span.insert({0: 1, 1: 2, 2: 3})
+        assert span.insert({1: 1, 2: 1})
+        assert not span.insert({0: 1, 1: 3, 2: 4})
+        assert not span.insert({})
+        assert sorted(span.rows) == [0, 1]
+        assert span.insert({0: 2, 1: 1, 2: 5})
+        assert span.rows[2] == {2: 1}
         rng = random.Random(47)
         for _ in range(30):
             data = random_rows(rng, 8, 6, 3, (1, 2, 5))
-            echelon = {}
-            grew = [_insert(echelon, _integer_row(dict(enumerate(r))))
-                    for r in data]
-            assert sum(grew) == len(echelon) == ExactMatrix(data).rank()
-            assert all(min(row) == col for col, row in echelon.items())
+            span = Span()
+            grew = [span.insert(dict(enumerate(r))) for r in data]
+            assert sum(grew) == len(span) == len(dense_rref(data, 6)[1])
+            assert all(min(row) == col for col, row in span.rows.items())
 
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -350,13 +362,13 @@ class TestRrefProperties:
     @given(rational_matrices())
     def test_kernel_invariants(self, data):
         m = ExactMatrix(data)
-        kernel = m.nullspace()
+        kernel = span_nullspace(data, m.cols)
         for vec in kernel:
             assert all(sum((a * b for a, b in zip(row, vec)), Fraction(0))
                        == 0 for row in m.data)
         assert m.rank() + len(kernel) == m.cols
-        reduced, pivots = m.rref()
-        assert ExactMatrix(reduced).rref() == (reduced, pivots)
+        reduced, pivots = span_rref(data, m.cols)
+        assert span_rref(reduced, m.cols) == (reduced, pivots)
         assert (reduced, pivots) == dense_rref(data, m.cols)
 
 

@@ -6,9 +6,9 @@ from itertools import permutations
 import pytest
 
 from lie_elements import lie_generators
-from lie_elements.exactmath import ExactMatrix
+from lie_elements.exactmath import ExactMatrix, Span
 from lie_elements.group_algebra import GroupAlgebraElement
-from lie_elements.lie_generators import (all_kappas, element_vector, eta,
+from lie_elements.lie_generators import (all_kappas, eta,
                                          kappa, lie_closure, nu,
                                          no_invariant_line,
                                          repeated_commutator_set,
@@ -249,6 +249,12 @@ class TestRepeatedCommutators:
         for x in repeated_commutator_set(4):
             assert is_lie(x)
 
+    def test_degree_below_two_rejected(self):
+        # below n = 2 there is no commutator to take
+        for n in (0, 1):
+            with pytest.raises(ValueError):
+                repeated_commutator_set(n)
+
 
 class FractionEchelon:
     """The dense Fraction echelon lie_closure used before the integer
@@ -260,7 +266,7 @@ class FractionEchelon:
         self.rows = []
 
     def insert(self, x):
-        vec = element_vector(x, self.perms)
+        vec = [x.coeff(p) for p in self.perms]
         for pivot, row in self.rows:
             if vec[pivot]:
                 factor = vec[pivot]
@@ -286,33 +292,37 @@ class FractionEchelon:
 
 class TestClosureKernel:
     @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_closure_matches_fraction_echelon(self, n, monkeypatch):
-        closure = lie_closure(all_kappas(n), n)
-        monkeypatch.setattr(lie_generators, "_Echelon", FractionEchelon)
-        expected = lie_closure(all_kappas(n), n)
+    def test_closure_matches_fraction_echelon(self, n):
+        # the closure loop, run over the oracle echelon
+        generators = all_kappas(n)
+        echelon = FractionEchelon(n)
+        frontier = [g for g in generators if echelon.insert(g)]
+        while frontier:
+            frontier = [y for x in frontier for y in
+                        (x.bracket(g) for g in generators)
+                        if echelon.insert(y)]
+        closure = lie_closure(generators, n)
         assert [x.to_json() for x in closure] == \
-            [x.to_json() for x in expected]
+            [x.to_json() for x in echelon.elements(n)]
 
     def test_echelon_matches_rref(self):
-        # sparse random vectors, many dependent: the incremental echelon
+        # sparse random vectors, many dependent: the span of their rows
         # grows exactly when the rank does and ends at the rref of them all
         rng = random.Random(8)
         n = 3
-        echelon = lie_generators._Echelon(n)
-        vectors = []
+        perms = all_permutations(n)
+        span = Span()
+        oracle = FractionEchelon(n)
         for _ in range(15):
             vec = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
                    if rng.random() < 0.35 else Fraction(0)
                    for _ in range(6)]
-            before = len(ExactMatrix(vectors).rref()[1]) if vectors else 0
-            vectors.append(vec)
-            grew = len(ExactMatrix(vectors).rref()[1]) > before
             element = GroupAlgebraElement(n, {
-                p: c for p, c in zip(echelon.perms, vec) if c})
-            assert echelon.insert(element) == grew
-        reduced, pivots = ExactMatrix(vectors).rref()
-        assert [element_vector(x, echelon.perms)
-                for x in echelon.elements(n)] == reduced[:len(pivots)]
+                p: c for p, c in zip(perms, vec) if c})
+            assert span.insert(lie_generators._row(element)) == \
+                oracle.insert(element)
+        assert [[row.get(c, 0) for c in range(6)]
+                for row in span.reduced()] == [row for _, row in oracle.rows]
 
     def test_closure_dim_n5(self):
         assert len(lie_closure(all_kappas(5), 5)) == 40

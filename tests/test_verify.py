@@ -233,6 +233,12 @@ class TestRank2:
     def test_larger_degree(self):
         assert verify_rank2(2, 5, 1, 3, 5).passed
 
+    def test_matrices_print_as_rationals(self):
+        report = verify_rank2(1, 2, 3, 4, 4)
+        assert "Fraction" not in report.lhs
+        assert "Fraction" not in report.rhs
+        assert "['0', '0', '-1', '1']" in report.lhs
+
 
 class TestMain:
     def test_n4(self):
@@ -292,6 +298,27 @@ class TestMain:
             element_from_quad_weights(4, {key: Fraction(1)})
 
 
+class TestSharedTables:
+    def test_cached_values_are_read_only(self):
+        # the tables and generators are built once per process and shared
+        # by every later call, so no caller may change a later verdict
+        from lie_elements.lie_generators import _columns
+        from lie_elements.sdet import mu_table
+        assert verify_main(4, seed=1).passed
+        for table in (mu_table(4, 2), mu_table(4, 3)):
+            with pytest.raises(AttributeError):
+                table.pop()
+            with pytest.raises(TypeError):
+                table[0] = None
+        for mapping in (verify_mod._generators(5, "kappa"), _columns(3)):
+            with pytest.raises(AttributeError):
+                mapping.clear()
+            with pytest.raises(TypeError):
+                mapping[next(iter(mapping))] = None
+        assert verify_main(4, seed=1).passed
+        assert verify_mtt(5, seed=1).passed
+
+
 class TestIota:
     def test_small_degrees(self):
         for n in (2, 3):
@@ -299,6 +326,11 @@ class TestIota:
 
 
 class TestConjectures:
+    def test_degree_below_two_rejected(self):
+        for n in (0, 1):
+            with pytest.raises(ValueError):
+                conjecture_report(n)
+
     def test_n2_values(self):
         report = conjecture_report(2)
         assert report.status == "REPORT"
