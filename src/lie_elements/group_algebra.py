@@ -1,7 +1,9 @@
 """Sparse elements of the group algebra Q[S_n].
 
 An element is a finite linear combination of permutations; coefficients are
-Fractions or MultiPoly (for symbolic weights).  All values are immutable.
+Fractions or MultiPoly (for symbolic weights).  All values are immutable:
+`terms` is a read-only view, so an element shared through a cache cannot be
+changed by one of its callers.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import json
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .exactmath import _as_coeff, rational
 from .perm import DegreeMismatchError, Permutation
@@ -36,7 +39,7 @@ class GroupAlgebraElement:
                     clean[perm] = clean.get(perm, Fraction(0)) + coeff
                     if not clean[perm]:
                         del clean[perm]
-        self.terms = clean
+        self.terms = MappingProxyType(clean)
 
     # -- constructors ----------------------------------------------------
 
@@ -73,7 +76,7 @@ class GroupAlgebraElement:
             else:
                 terms.pop(perm, None)
         out = GroupAlgebraElement.__new__(GroupAlgebraElement)
-        out.n, out.terms = self.n, terms
+        out.n, out.terms = self.n, MappingProxyType(terms)
         return out
 
     def __sub__(self, other):
@@ -82,7 +85,7 @@ class GroupAlgebraElement:
     def __neg__(self):
         out = GroupAlgebraElement.__new__(GroupAlgebraElement)
         out.n = self.n
-        out.terms = {p: -c for p, c in self.terms.items()}
+        out.terms = MappingProxyType({p: -c for p, c in self.terms.items()})
         return out
 
     def scale(self, factor) -> "GroupAlgebraElement":
@@ -91,7 +94,8 @@ class GroupAlgebraElement:
             return GroupAlgebraElement.zero(self.n)
         out = GroupAlgebraElement.__new__(GroupAlgebraElement)
         out.n = self.n
-        out.terms = {p: c * factor for p, c in self.terms.items()}
+        out.terms = MappingProxyType({p: c * factor
+                                      for p, c in self.terms.items()})
         return out
 
     # -- ring structure --------------------------------------------------
@@ -109,7 +113,7 @@ class GroupAlgebraElement:
                 else:
                     del terms[prod]
         out = GroupAlgebraElement.__new__(GroupAlgebraElement)
-        out.n, out.terms = self.n, terms
+        out.n, out.terms = self.n, MappingProxyType(terms)
         return out
 
     __mul__ = multiply

@@ -16,7 +16,8 @@ from itertools import permutations as index_permutations
 from types import MappingProxyType
 from typing import List, Sequence, Tuple
 
-from .exactmath import DEGREE_BOUND, ExactMatrix, Span, _check_bound
+from .exactmath import (DEGREE_BOUND, ExactMatrix, Span, _check_bound,
+                        _integer_row)
 from .group_algebra import GroupAlgebraElement
 from .perm import Permutation, all_permutations
 
@@ -181,19 +182,43 @@ def lie_closure(generators: Sequence[GroupAlgebraElement], n: int,
     """Basis of the smallest bracket-closed subspace containing the
     generators.  Each round brackets the current basis with the generators
     only; iteration stops when the dimension stabilizes.  A degree n above
-    `bound` raises ResourceLimitError; bound=None lifts it."""
+    `bound` raises ResourceLimitError; bound=None lifts it.
+
+    The work is in integer rows over the columns of S_n.  Each generator is
+    scaled to a primitive integer row, which leaves the closure unchanged
+    (the bracket is bilinear).  For each permutation q in a generator's
+    support, left[c] and right[c] are the columns of q p_c and p_c q, so
+    [x, g] is the sum of x_c g_q (e_right[c] - e_left[c]); the identity's
+    term is zero."""
     _check_bound(n, bound, "lie_closure degree")
-    span = Span()
-    frontier = [g for g in generators if span.insert(_row(g))]
-    while frontier:
-        new_frontier = []
-        for x in frontier:
-            for g in generators:
-                y = x.bracket(g)
-                if span.insert(_row(y)):
-                    new_frontier.append(y)
-        frontier = new_frontier
     perms = all_permutations(n)
+    images = [p.images for p in perms]
+    column = {image: c for c, image in enumerate(images)}
+    rows = [_integer_row(_row(g)) for g in generators]
+    maps = {}
+    for q in {c for row in rows for c in row} - {0}:   # 0 is the identity
+        image_q = images[q]
+        maps[q] = ([column[tuple([image_q[i - 1] for i in image])]
+                    for image in images],
+                   [column[tuple([image[i - 1] for i in image_q])]
+                    for image in images])
+    brackets = [[(*maps[q], v) for q, v in row.items() if q] for row in rows]
+
+    def bracket(x, terms):
+        out = {}
+        for left, right, v in terms:
+            for c, u in x.items():
+                uv = u * v
+                out[right[c]] = out.get(right[c], 0) + uv
+                out[left[c]] = out.get(left[c], 0) - uv
+        return {c: v for c, v in out.items() if v}
+
+    span = Span()
+    frontier = [row for row in rows if span.insert(row)]
+    while frontier:
+        frontier = [y for x in frontier for y in
+                    (bracket(x, terms) for terms in brackets)
+                    if span.insert(y)]
     return [GroupAlgebraElement(n, {perms[c]: v for c, v in row.items()})
             for row in span.reduced()]
 

@@ -64,7 +64,10 @@ class Permutation:
         """Left action: (self*other)(i) = self(other(i))."""
         if self.n != other.n:
             raise DegreeMismatchError("degrees %d and %d" % (self.n, other.n))
-        return Permutation(self.images[x - 1] for x in other.images)
+        # a composite of two bijections is one, so skip __init__'s check
+        out = Permutation.__new__(Permutation)
+        out.images = tuple([self.images[x - 1] for x in other.images])
+        return out
 
     __mul__ = compose
 

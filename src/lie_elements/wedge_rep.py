@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import List
+from types import MappingProxyType
+from typing import Tuple
 
 from .exactmath import (DEGREE_BOUND, ExactMatrix, Span, _check_bound,
                         _scaled_integers, rational)
@@ -23,7 +24,7 @@ from .perm import all_permutations, inversion_sign
 
 class WedgeBasis:
     """All m-subsets of {1..n}, lexicographic, their bit masks, and the
-    index of each mask."""
+    index of each mask, all read-only: _basis shares one per (n, m)."""
 
     __slots__ = ("n", "m", "subsets", "masks", "index")
 
@@ -32,9 +33,10 @@ class WedgeBasis:
             raise ValueError("wedge degree %d out of 0..%d" % (m, n))
         self.n = n
         self.m = m
-        self.subsets = [tuple(c) for c in combinations(range(1, n + 1), m)]
-        self.masks = [sum(1 << i for i in s) for s in self.subsets]
-        self.index = {mask: i for i, mask in enumerate(self.masks)}
+        self.subsets = tuple(combinations(range(1, n + 1), m))
+        self.masks = tuple(sum(1 << i for i in s) for s in self.subsets)
+        self.index = MappingProxyType(
+            {mask: i for i, mask in enumerate(self.masks)})
 
     def __len__(self):
         return len(self.subsets)
@@ -142,7 +144,7 @@ def is_lie(x: GroupAlgebraElement) -> bool:
 @dataclass(frozen=True)
 class LieSpaceResult:
     n: int
-    basis: List[GroupAlgebraElement]
+    basis: Tuple[GroupAlgebraElement, ...]
 
     @property
     def dim(self) -> int:
@@ -150,17 +152,24 @@ class LieSpaceResult:
 
 
 def lie_space(n: int, bound=DEGREE_BOUND) -> LieSpaceResult:
-    """Exact basis of the space of Lie elements in Q[S_n].
+    """Exact basis of the space of Lie elements in Q[S_n], solved once per
+    n and shared: the result is read-only.  A degree n above `bound` raises
+    ResourceLimitError on every call; bound=None lifts it."""
+    _check_bound(n, bound, "lie_space degree")
+    return _lie_space(n)
+
+
+@lru_cache(maxsize=None)
+def _lie_space(n: int) -> LieSpaceResult:
+    """The solve behind lie_space.
 
     One unknown per permutation; one homogeneous equation per entry of each
     (multiplicative - derivation) matrix difference, for the degrees m of
     _informative_degrees (the others add nothing to the row space),
     inserted into one Span as soon as its degree is built.  The kernel
     basis comes from reduced echelon form with unknowns in lexicographic
-    image order, so the output is deterministic.  A degree n above `bound`
-    raises ResourceLimitError; bound=None lifts it.
+    image order, so the output is deterministic.
     """
-    _check_bound(n, bound, "lie_space degree")
     perms = all_permutations(n)
     span = Span()
     for m in _informative_degrees(n):
@@ -176,9 +185,9 @@ def lie_space(n: int, bound=DEGREE_BOUND) -> LieSpaceResult:
                     entry[gi] = entry.get(gi, 0) - sign
         for key in sorted(blocks):
             span.insert(blocks[key])
-    return LieSpaceResult(n=n, basis=[
+    return LieSpaceResult(n=n, basis=tuple(
         GroupAlgebraElement(n, {perms[i]: c for i, c in vec.items()})
-        for vec in span.kernel(len(perms))])
+        for vec in span.kernel(len(perms))))
 
 
 def action_matrix(x: GroupAlgebraElement, representation: str = "permutation"

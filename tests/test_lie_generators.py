@@ -290,6 +290,18 @@ class FractionEchelon:
                 for _, row in self.rows]
 
 
+def _oracle_closure(generators, n):
+    """The closure loop of test_closure_matches_fraction_echelon, over the
+    oracle echelon and GroupAlgebraElement.bracket."""
+    echelon = FractionEchelon(n)
+    frontier = [g for g in generators if echelon.insert(g)]
+    while frontier:
+        frontier = [y for x in frontier for y in
+                    (x.bracket(g) for g in generators)
+                    if echelon.insert(y)]
+    return [x.to_json() for x in echelon.elements(n)]
+
+
 class TestClosureKernel:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_closure_matches_fraction_echelon(self, n):
@@ -326,3 +338,30 @@ class TestClosureKernel:
 
     def test_closure_dim_n5(self):
         assert len(lie_closure(all_kappas(5), 5)) == 40
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_scaled_generators_same_closure(self, n):
+        # the bracket is bilinear, so nonzero multiples of the generators
+        # close to the same span
+        expected = [x.to_json() for x in lie_closure(all_kappas(n), n)]
+        for factor in (Fraction(1, 2), -3):
+            scaled = [k.scale(factor) for k in all_kappas(n)]
+            assert [x.to_json() for x in lie_closure(scaled, n)] == expected
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_other_generators_match_oracle(self, n):
+        # the first four of test_wedge_rep._generators(n), which
+        # test_lie_elements_with_small_perturbation closes over, and a nu
+        # with an eta, whose supports are 3- and 4-cycles
+        for generators in (
+                [kappa(n, 1, 2), kappa(n, 1, 3), kappa(n, 1, 4),
+                 kappa(n, 2, 3)],
+                [nu(n, 1, 2, 3), eta(n, 1, 2, 3, 4)]):
+            assert [x.to_json() for x in lie_closure(generators, n)] == \
+                _oracle_closure(generators, n)
+
+    def test_identity_alone(self):
+        one = GroupAlgebraElement.one(4).scale(Fraction(2, 3))
+        closure = lie_closure([one], 4)
+        assert [x.to_json() for x in closure] == \
+            [GroupAlgebraElement.one(4).to_json()]

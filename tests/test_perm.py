@@ -47,6 +47,16 @@ class TestComposition:
         with pytest.raises(DegreeMismatchError):
             Permutation.identity(3) * Permutation.identity(4)
 
+    def test_compose_equals_checked_construction(self):
+        # compose skips the bijection check of Permutation(...); its result
+        # must be the permutation that the checked constructor builds
+        perms = all_permutations(4)
+        for a in perms:
+            for b in perms:
+                c = a.compose(b)
+                assert c == Permutation([a(b(i)) for i in range(1, 5)])
+                assert type(c.images) is tuple and hash(c) == hash(c.images)
+
 
 class TestCyclesAndSign:
     def test_cycles_sorted(self):

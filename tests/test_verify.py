@@ -310,7 +310,8 @@ class TestSharedTables:
                 table.pop()
             with pytest.raises(TypeError):
                 table[0] = None
-        for mapping in (verify_mod._generators(5, "kappa"), _columns(3)):
+        kappas = verify_mod._generators(5, "kappa")
+        for mapping in (kappas, kappas[(1, 2)].terms, _columns(3)):
             with pytest.raises(AttributeError):
                 mapping.clear()
             with pytest.raises(TypeError):

@@ -9,7 +9,8 @@ from lie_elements.exactmath import ExactMatrix, MultiPoly, ResourceLimitError
 from lie_elements.group_algebra import GroupAlgebraElement
 from lie_elements.lie_generators import eta, kappa, lie_closure, nu
 from lie_elements.perm import Permutation, all_permutations
-from lie_elements.verify import conjecture_report
+from lie_elements.verify import conjecture_report, verify_iota
+from lie_elements import wedge_rep
 from lie_elements.wedge_rep import (WedgeBasis, action_matrix, action_rank,
                                     alg_matrix, grp_matrix, is_lie,
                                     lie_space, sort_with_sign,
@@ -27,6 +28,20 @@ class TestWedgeBasis:
         assert sort_with_sign((3, 2, 1)) == ((1, 2, 3), -1)
         assert sort_with_sign((1, 2, 3)) == ((1, 2, 3), 1)
         assert sort_with_sign((1, 2, 2)) is None
+
+    def test_shared_basis_is_read_only(self):
+        # _basis shares one WedgeBasis per (n, m) with every later is_lie
+        # and lie_space, so none of its tables may change
+        basis = wedge_rep._basis(4, 2)
+        with pytest.raises(AttributeError):
+            basis.index.clear()
+        with pytest.raises(TypeError):
+            basis.index[next(iter(basis.index))] = 0
+        with pytest.raises(AttributeError):
+            basis.subsets.append((1, 2))
+        with pytest.raises(TypeError):
+            basis.masks[0] = 0
+        assert is_lie(nu(4, 1, 2, 3))
 
 
 class TestActions:
@@ -97,8 +112,27 @@ class TestLieSpace:
         assert a.basis == b.basis
 
     def test_resource_bound(self):
-        with pytest.raises(ResourceLimitError):
-            lie_space(7)
+        # the cache sits behind the bound check, so a repeated call is
+        # stopped too
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError):
+                lie_space(7)
+
+    def test_solved_once_per_n(self):
+        assert lie_space(5) is lie_space(5)
+        assert lie_space(5, bound=None) is lie_space(5)
+
+    def test_shared_result_is_read_only(self):
+        space = lie_space(4)
+        with pytest.raises(AttributeError):
+            space.basis.append(space.basis[0])
+        with pytest.raises(TypeError):
+            space.basis[0] = space.basis[1]
+        with pytest.raises(TypeError):
+            space.basis[0].terms[Permutation.identity(4)] = 1
+        with pytest.raises(AttributeError):
+            space.basis[0].terms.clear()
+        assert verify_iota(4, seed=1).passed
 
     def test_closed_under_bracket_n3(self):
         from lie_elements.lie_generators import span_rank
