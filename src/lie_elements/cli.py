@@ -33,11 +33,13 @@ class WeightConflictError(InputError):
 
 
 def _rational(value, where):
-    try:
-        return rational(value)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise InputError("%s: %r is not a rational" % (where, value)) \
-            from None
+    """rational(value), or InputError; a bool is an int, but no rational."""
+    if not isinstance(value, bool):
+        try:
+            return rational(value)
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+    raise InputError("%s: %r is not a rational" % (where, value))
 
 
 def _weight_rows(raw, section, labels, values, n):
@@ -77,26 +79,22 @@ def load_weights(path: str, n: Optional[int] = None):
     if not isinstance(raw, dict):
         raise InputError("weights: %s does not hold a JSON object" % path)
     tables = {}
-    for section, labels, conflict in (
-            ("pairs", 2, "pair %r given twice"),
-            ("triples", 3, "triple %r given inconsistently")):
+    for section, labels, variants in (("pairs", 2, ()), ("triples", 3, ()),
+                                      ("quads", 4, graphs.VARIANTS)):
         table = tables[section] = {}
-        for *idx, w in _weight_rows(raw, section, labels, 1, n):
-            key, value = verify_mod._fold(tuple(idx), w)
-            if key in table and table[key] != value:
-                raise WeightConflictError(conflict % (key,))
-            table[key] = value
-    quads = tables["quads"] = {}
-    for i, j, k, l, w1, w2 in _weight_rows(raw, "quads", 4, 2, n):
-        quad = (i, j, k, l)
-        if quad != tuple(sorted(quad)):
-            raise WeightConflictError(
-                "quad %r must be given in ascending order" % (quad,))
-        for variant, w in zip(graphs.VARIANTS, (w1, w2)):
-            key = (quad, variant)
-            if key in quads and quads[key] != w:
-                raise WeightConflictError("quad %r given twice" % (quad,))
-            quads[key] = w
+        for row in _weight_rows(raw, section, labels, len(variants) or 1, n):
+            idx = row[:labels]
+            if variants and idx != tuple(sorted(idx)):
+                raise WeightConflictError(
+                    "quad %r must be given in ascending order" % (idx,))
+            keys = [(idx, variant) for variant in variants] or [idx]
+            for key, w in zip(keys, row[labels:]):
+                key, w = verify_mod._fold(key, w)
+                if key in table and table[key] != w:
+                    raise WeightConflictError(
+                        "weights: %s entry %r given twice with different "
+                        "weights" % (section, key))
+                table[key] = w
     return tables
 
 
@@ -142,8 +140,9 @@ def _run_verify(args) -> int:
         weights = (load_weights(args.weights, n)[args.section]
                    if args.weights else None)
         first = args.seed or 0
+        seeds = [None] if fixed else range(first, first + (args.trials or 1))
         reports = []
-        for seed in range(first, first + (args.trials or 1)):
+        for seed in seeds:
             if target == "iota":
                 reports.append(verify_mod.verify_iota(n, trials=3, seed=seed))
             elif target == "main":

@@ -80,6 +80,13 @@ class MultiPoly:
     def variable(cls, name: str) -> "MultiPoly":
         return cls({((name, 1),): Fraction(1)})
 
+    @classmethod
+    def _of(cls, terms) -> "MultiPoly":
+        """Unchecked: sorted monomials, nonzero Fraction coefficients."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -116,9 +123,7 @@ class MultiPoly:
                 terms[mono] = new
             else:
                 terms.pop(mono, None)
-        result = MultiPoly.__new__(MultiPoly)
-        result.terms = terms
-        return result
+        return self._of(terms)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -132,18 +137,14 @@ class MultiPoly:
         return _poly(other)._combine(self, -1)
 
     def __neg__(self):
-        result = MultiPoly.__new__(MultiPoly)
-        result.terms = {m: -c for m, c in self.terms.items()}
-        return result
+        return self._of({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = rational(other)
             if not other:
                 return MultiPoly()
-            result = MultiPoly.__new__(MultiPoly)
-            result.terms = {m: c * other for m, c in self.terms.items()}
-            return result
+            return self._of({m: c * other for m, c in self.terms.items()})
         other = _poly(other)
         terms = {}
         for m1, c1 in self.terms.items():
@@ -154,9 +155,7 @@ class MultiPoly:
                     terms[mono] = new
                 else:
                     del terms[mono]
-        result = MultiPoly.__new__(MultiPoly)
-        result.terms = terms
-        return result
+        return self._of(terms)
 
     __rmul__ = __mul__
 
@@ -215,26 +214,10 @@ class MultiPoly:
         return "MultiPoly(%s)" % str(self)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms, key=_grlex_rank):
-            coeff = self.terms[mono]
-            body = "*".join(
-                v if e == 1 else "%s^%d" % (v, e) for v, e in mono
-            )
-            if not body:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(body)
-            elif coeff == -1:
-                parts.append("-" + body)
-            else:
-                parts.append("%s*%s" % (coeff, body))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return _render_terms(
+            (self.terms[mono],
+             "*".join(v if e == 1 else "%s^%d" % (v, e) for v, e in mono))
+            for mono in sorted(self.terms, key=_grlex_rank))
 
 
 def _poly(value) -> MultiPoly:
@@ -262,15 +245,26 @@ def _grlex_rank(mono):
     return -sum(e for _, e in mono), tuple((v, -e) for v, e in mono)
 
 
-def coeff_at(p, monomial) -> Fraction:
-    """Coefficient of exactly `monomial` in p; 0 for absent monomials and
-    for rational constants with a nonempty monomial."""
-    if isinstance(p, MultiPoly):
-        return p.coeff_at(monomial)
-    clean = {v: e for v, e in monomial.items() if e}
-    if clean:
-        return Fraction(0)
-    return rational(p)
+def _render_terms(terms):
+    """A sum of (coefficient, body) terms as text, in the given order: a
+    term with an empty body prints its coefficient, a coefficient of 1 or
+    -1 prints as a sign, any other as "c*body"; no terms print "0"."""
+    parts = []
+    for coeff, body in terms:
+        if not body:
+            parts.append(str(coeff))
+        elif coeff == 1:
+            parts.append(body)
+        elif coeff == -1:
+            parts.append("-" + body)
+        else:
+            parts.append("%s*%s" % (coeff, body))
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
 
 
 class DimensionError(ValueError):
@@ -342,10 +336,7 @@ class ExactMatrix:
                             for r1, r2 in zip(self.data, other.data)])
 
     def __sub__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("shape mismatch in subtraction")
-        return ExactMatrix([[a - b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.data, other.data)])
+        return self + (-other)
 
     def __neg__(self):
         return ExactMatrix([[-v for v in row] for row in self.data])

@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from types import MappingProxyType
 
-from .exactmath import _as_coeff, rational
+from .exactmath import _as_coeff, _render_terms, rational
 from .perm import DegreeMismatchError, Permutation
 
 
@@ -36,9 +36,7 @@ class GroupAlgebraElement:
                         "permutation of degree %d in Q[S_%d]" % (perm.n, n))
                 coeff = _as_coeff(coeff)
                 if coeff:
-                    clean[perm] = clean.get(perm, Fraction(0)) + coeff
-                    if not clean[perm]:
-                        del clean[perm]
+                    clean[perm] = coeff
         self.terms = MappingProxyType(clean)
 
     # -- constructors ----------------------------------------------------
@@ -59,6 +57,13 @@ class GroupAlgebraElement:
     def from_cycles(cls, n, cycles, coeff=1) -> "GroupAlgebraElement":
         return cls.from_permutation(Permutation.from_cycles(n, cycles), coeff)
 
+    @classmethod
+    def _of(cls, n, terms) -> "GroupAlgebraElement":
+        """Unchecked: degree-n permutations, nonzero coefficients."""
+        out = cls.__new__(cls)
+        out.n, out.terms = n, MappingProxyType(terms)
+        return out
+
     # -- linear structure ------------------------------------------------
 
     def _check(self, other):
@@ -75,28 +80,19 @@ class GroupAlgebraElement:
                 terms[perm] = new
             else:
                 terms.pop(perm, None)
-        out = GroupAlgebraElement.__new__(GroupAlgebraElement)
-        out.n, out.terms = self.n, MappingProxyType(terms)
-        return out
+        return self._of(self.n, terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        out = GroupAlgebraElement.__new__(GroupAlgebraElement)
-        out.n = self.n
-        out.terms = MappingProxyType({p: -c for p, c in self.terms.items()})
-        return out
+        return self._of(self.n, {p: -c for p, c in self.terms.items()})
 
     def scale(self, factor) -> "GroupAlgebraElement":
         factor = _as_coeff(factor)
         if not factor:
             return GroupAlgebraElement.zero(self.n)
-        out = GroupAlgebraElement.__new__(GroupAlgebraElement)
-        out.n = self.n
-        out.terms = MappingProxyType({p: c * factor
-                                      for p, c in self.terms.items()})
-        return out
+        return self._of(self.n, {p: c * factor for p, c in self.terms.items()})
 
     # -- ring structure --------------------------------------------------
 
@@ -112,9 +108,7 @@ class GroupAlgebraElement:
                     terms[prod] = new
                 else:
                     del terms[prod]
-        out = GroupAlgebraElement.__new__(GroupAlgebraElement)
-        out.n, out.terms = self.n, MappingProxyType(terms)
-        return out
+        return self._of(self.n, terms)
 
     __mul__ = multiply
 
@@ -164,22 +158,9 @@ class GroupAlgebraElement:
         return "GroupAlgebraElement(n=%d, %s)" % (self.n, str(self))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for perm in sorted(self.terms):
-            coeff = self.terms[perm]
-            body = "1" if perm.is_identity() else str(perm)
-            if coeff == 1:
-                parts.append(body)
-            elif coeff == -1:
-                parts.append("-" + body)
-            else:
-                parts.append("%s*%s" % (coeff, body))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return _render_terms(
+            (self.terms[perm], "1" if perm.is_identity() else str(perm))
+            for perm in sorted(self.terms))
 
     # -- serialization ---------------------------------------------------
 

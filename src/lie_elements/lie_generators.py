@@ -48,14 +48,16 @@ def eta(n: int, i: int, j: int, k: int, l: int) -> GroupAlgebraElement:
 
 @lru_cache(maxsize=None)
 def _columns(n: int):
-    """Read-only map of S_n to columns, in lexicographic image order."""
-    return MappingProxyType({p: i for i, p in enumerate(all_permutations(n))})
+    """Read-only map of the image tuples of S_n to columns, in
+    lexicographic image order."""
+    return MappingProxyType({p.images: i
+                             for i, p in enumerate(all_permutations(n))})
 
 
 def _row(x: GroupAlgebraElement):
     """The coefficients of x as a sparse row {column: coefficient}."""
     column = _columns(x.n)
-    return {column[p]: c for p, c in x.terms.items()}
+    return {column[p.images]: c for p, c in x.terms.items()}
 
 
 def span_rank(elements: Sequence[GroupAlgebraElement]) -> int:
@@ -193,7 +195,7 @@ def lie_closure(generators: Sequence[GroupAlgebraElement], n: int,
     _check_bound(n, bound, "lie_closure degree")
     perms = all_permutations(n)
     images = [p.images for p in perms]
-    column = {image: c for c, image in enumerate(images)}
+    column = _columns(n)
     rows = [_integer_row(_row(g)) for g in generators]
     maps = {}
     for q in {c for row in rows for c in row} - {0}:   # 0 is the identity

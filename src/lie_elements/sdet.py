@@ -133,29 +133,17 @@ def monomial_coefficient(edges: Sequence[Tuple[int, int]]
     if len(edges) % 2:
         raise StructureError("odd number of edges")
     n = len(edges) // 2
-    out_deg = {}
-    in_deg = {}
-    for i, j in edges:
-        out_deg[i] = out_deg.get(i, 0) + 1
-        in_deg[j] = in_deg.get(j, 0) + 1
+    # ends[0][v] and ends[1][v]: the edges with initial, resp. terminal,
+    # vertex v, which must be a pair for every v in 1..n
+    ends = ({}, {})
+    for idx, (i, j) in enumerate(edges):
+        ends[0].setdefault(i, []).append(idx)
+        ends[1].setdefault(j, []).append(idx)
     vertices = set(range(1, n + 1))
-    if (set(out_deg) != vertices or set(in_deg) != vertices
-            or any(d != 2 for d in out_deg.values())
-            or any(d != 2 for d in in_deg.values())):
+    if any(set(table) != vertices or any(len(p) != 2 for p in table.values())
+           for table in ends):
         raise StructureError(
             "every vertex must have out-degree 2 and in-degree 2")
-    # partner maps: the unique other edge sharing the initial (resp.
-    # terminal) vertex
-    by_init = {}
-    by_term = {}
-    for idx, (i, j) in enumerate(edges):
-        by_init.setdefault(i, []).append(idx)
-        by_term.setdefault(j, []).append(idx)
-
-    def partner(table, vertex, idx):
-        pair = table[vertex]
-        return pair[1] if pair[0] == idx else pair[0]
-
     seen = [False] * len(edges)
     cycles = []
     for start in range(len(edges)):
@@ -163,15 +151,12 @@ def monomial_coefficient(edges: Sequence[Tuple[int, int]]
             continue
         # walk the cycle alternating initial- and terminal-sharing steps
         cycle = []
-        idx = start
-        use_init = True
+        idx, side = start, 0
         while not seen[idx]:
             seen[idx] = True
             cycle.append(idx)
-            vertex = edges[idx][0] if use_init else edges[idx][1]
-            table = by_init if use_init else by_term
-            idx = partner(table, vertex, idx)
-            use_init = not use_init
+            a, b = ends[side][edges[idx][side]]
+            idx, side = (b if a == idx else a), 1 - side
         cycles.append(tuple(cycle))
     m = len(cycles)
     return MonomialCoefficient((-1) ** (n - m) * 2 ** m, m, cycles)

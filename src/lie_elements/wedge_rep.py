@@ -121,6 +121,20 @@ def _informative_degrees(n: int):
     return (0, *range(2, n))
 
 
+def _lie_equations(terms, m: int):
+    """The Lie equations on Lambda^m: the entries {(row, col): value} of
+    the multiplicative minus the derivation action of the sum of c g over
+    (image tuple of g, c) terms.  An entry that cancels is kept, as 0."""
+    diff = {}
+    for images, c in terms:
+        for col, ((row, sign), derivs) in enumerate(
+                _signed_images(images, m)):
+            diff[row, col] = diff.get((row, col), 0) + sign * c
+            for row, sign in derivs:
+                diff[row, col] = diff.get((row, col), 0) - sign * c
+    return diff
+
+
 def is_lie(x: GroupAlgebraElement) -> bool:
     """True iff the two actions agree on every wedge power m = 0..n; only
     the degrees of _informative_degrees are checked, which is equivalent.
@@ -128,17 +142,8 @@ def is_lie(x: GroupAlgebraElement) -> bool:
     integer difference of the two actions is checked one m at a time."""
     ints, _ = _scaled_integers([rational(c) for c in x.terms.values()])
     terms = list(zip([perm.images for perm in x.terms], ints))
-    for m in _informative_degrees(x.n):
-        diff = {}
-        for images, c in terms:
-            for col, ((row, sign), derivs) in enumerate(
-                    _signed_images(images, m)):
-                diff[row, col] = diff.get((row, col), 0) + sign * c
-                for row, sign in derivs:
-                    diff[row, col] = diff.get((row, col), 0) - sign * c
-        if any(diff.values()):
-            return False
-    return True
+    return not any(any(_lie_equations(terms, m).values())
+                   for m in _informative_degrees(x.n))
 
 
 @dataclass(frozen=True)
@@ -163,12 +168,12 @@ def lie_space(n: int, bound=DEGREE_BOUND) -> LieSpaceResult:
 def _lie_space(n: int) -> LieSpaceResult:
     """The solve behind lie_space.
 
-    One unknown per permutation; one homogeneous equation per entry of each
-    (multiplicative - derivation) matrix difference, for the degrees m of
-    _informative_degrees (the others add nothing to the row space),
-    inserted into one Span as soon as its degree is built.  The kernel
-    basis comes from reduced echelon form with unknowns in lexicographic
-    image order, so the output is deterministic.
+    One unknown per permutation; one homogeneous equation per entry of
+    _lie_equations, for the degrees m of _informative_degrees (the others
+    add nothing to the row space), inserted into one Span in sorted entry
+    order as soon as its degree is built.  The kernel basis comes from
+    reduced echelon form with unknowns in lexicographic image order, so
+    the output is deterministic.
     """
     perms = all_permutations(n)
     span = Span()
@@ -176,13 +181,8 @@ def _lie_space(n: int) -> LieSpaceResult:
         # blocks[(row, col)][perm index] -> integer coefficient
         blocks = {}
         for gi, perm in enumerate(perms):
-            for col, ((row, sign), derivs) in enumerate(
-                    _signed_images(perm.images, m)):
-                entry = blocks.setdefault((row, col), {})
-                entry[gi] = entry.get(gi, 0) + sign
-                for row, sign in derivs:
-                    entry = blocks.setdefault((row, col), {})
-                    entry[gi] = entry.get(gi, 0) - sign
+            for key, v in _lie_equations([(perm.images, 1)], m).items():
+                blocks.setdefault(key, {})[gi] = v
         for key in sorted(blocks):
             span.insert(blocks[key])
     return LieSpaceResult(n=n, basis=tuple(

@@ -37,6 +37,19 @@ class TestVerifyCommand:
         code, out = run(capsys, "verify", "iota", "--n", "2")
         assert code == 0 and "PASS" in out
 
+    @pytest.mark.parametrize("flag", ["--symbolic", "--weights"])
+    def test_fixed_element_has_no_seed(self, tmp_path, capsys, flag):
+        # no seed draws the element that a weight file or the variables fix
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"pairs": [[1, 2, "1"], [2, 3, "2"]]}))
+        argv = ["verify", "mtt", "--n", "3", "--format", "json", flag]
+        if flag == "--weights":
+            argv.append(str(path))
+        code, out = run(capsys, *argv)
+        assert code == 0
+        [record] = json.loads(out)
+        assert record["seed"] is None and record["status"] == "PASS"
+
 
 class TestLieCommand:
     def test_dim(self, capsys):
@@ -222,6 +235,24 @@ class TestWeightFiles:
         with pytest.raises(WeightConflictError):
             load_weights(str(path))
 
+    @pytest.mark.parametrize("section, row, same, other", [
+        ("pairs", [1, 2, "1/2"], [2, 1, "1/2"], [2, 1, "1"]),
+        ("triples", [1, 2, 3, "2"], [2, 3, 1, "2"], [1, 3, 2, "2"]),
+        ("quads", [1, 2, 3, 4, "1", "2"], [1, 2, 3, 4, "1", "2"],
+         [1, 2, 3, 4, "1", "3"]),
+    ])
+    def test_repeated_key(self, tmp_path, section, row, same, other):
+        # the same weight again is accepted, a different one is a conflict
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({section: [row]}))
+        once = load_weights(str(path))
+        path.write_text(json.dumps({section: [row, same]}))
+        assert load_weights(str(path)) == once
+        assert len(once[section]) == (2 if section == "quads" else 1)
+        path.write_text(json.dumps({section: [row, other]}))
+        with pytest.raises(WeightConflictError):
+            load_weights(str(path))
+
     def test_missing_defaults_to_zero(self, tmp_path, capsys):
         path = tmp_path / "w.json"
         path.write_text(json.dumps({"pairs": [[1, 2, "1"], [1, 3, "2"],
@@ -263,6 +294,11 @@ class TestBadInput:
     def test_bad_rational(self, capsys):
         self.assert_input_error(capsys, "sdet", "eval", "--matrix-a",
                                 '[["x"]]', "--matrix-b", '[["1"]]')
+
+    def test_bool_is_no_rational(self, capsys):
+        # a JSON true is a Python bool, which is an int
+        self.assert_input_error(capsys, "sdet", "eval", "--matrix-a",
+                                "[[true]]", "--matrix-b", "[[1]]")
 
     def test_ragged_matrix(self, capsys):
         self.assert_input_error(capsys, "sdet", "eval", "--matrix-a",
@@ -330,6 +366,7 @@ class TestBadInput:
         {"pairs": [[1, 2, "1", "2"]]},
         {"triples": [[1, 2, "1"]]},
         {"pairs": [[1, 2, "x"]]},
+        {"pairs": [[1, 2, True]]},
         {"pairs": [[1, 1, "1"]]},
         {"pairs": [[1, 9, "1"]]},
         {"pairs": 3},

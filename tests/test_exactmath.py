@@ -13,7 +13,7 @@ from lie_elements.exactmath import (DimensionError, ExactMatrix, MultiPoly,
                                     Span, StructureError, _bareiss_det,
                                     _eliminate, _expansion_det,
                                     _grlex_rank, _integer_row,
-                                    _scaled_integers, coeff_at, rational)
+                                    _scaled_integers, rational)
 
 
 def rand_matrix(n, rng, lo=-9, hi=9):
@@ -57,8 +57,23 @@ class TestMultiPoly:
         assert p.coeff_at({"x": 1, "y": 1}) == 3
         assert p.coeff_at({"x": 1}) == 5
         assert p.coeff_at({"y": 2}) == 0
-        assert coeff_at(Fraction(7), {}) == 7
-        assert coeff_at(Fraction(7), {"x": 1}) == 0
+
+    def test_str(self):
+        x = MultiPoly.variable("x")
+        y = MultiPoly.variable("y")
+        for p, text in [
+                (MultiPoly(), "0"),
+                (MultiPoly.constant(3), "3"),
+                (MultiPoly.constant(-2), "-2"),
+                (-x, "-x"),
+                (Fraction(-3, 4) * y, "-3/4*y"),
+                (-x - y, "-x - y"),
+                (x - 1, "x - 1"),
+                (2 * x - 3 * y + 1, "2*x - 3*y + 1"),
+                (-x * y + Fraction(1, 2) * x ** 2 - 5, "1/2*x^2 - x*y - 5"),
+                ((x + y) ** 3 - 7, "x^3 + 3*x^2*y + 3*x*y^2 + y^3 - 7")]:
+            assert str(p) == text
+            assert repr(p) == "MultiPoly(%s)" % text
 
     def test_substitute(self):
         x = MultiPoly.variable("x")
@@ -157,6 +172,17 @@ class TestExactMatrix:
             ExactMatrix([[1, 2], [3]])
         with pytest.raises(DimensionError):
             ExactMatrix([[1, 2]]) + ExactMatrix([[1], [2]])
+        with pytest.raises(DimensionError):
+            ExactMatrix([[1, 2]]) - ExactMatrix([[1], [2]])
+        with pytest.raises(DimensionError):
+            ExactMatrix([[1, 2]]) - ExactMatrix([[1, 2, 3]])
+
+    def test_difference(self):
+        x = MultiPoly.variable("x")
+        m = ExactMatrix([[1, 2], [3, 4]])
+        assert m - m.scale(3) == ExactMatrix([[-2, -4], [-6, -8]])
+        assert (m - ExactMatrix([[x, 0], [0, 1]])
+                == ExactMatrix([[1 - x, 2], [3, 3]]))
 
     def test_matmul_identity(self):
         rng = random.Random(2)

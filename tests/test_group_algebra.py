@@ -146,3 +146,24 @@ class TestSerialization:
         x = (GroupAlgebraElement.one(3)
              - GroupAlgebraElement.from_cycles(3, [(1, 2)]))
         assert str(x) == "1 - (1 2)"
+
+    def test_str_coefficients(self):
+        # identity, unit, negative, non-unit and polynomial coefficients
+        from lie_elements.exactmath import MultiPoly
+        x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
+        e = Permutation.identity(3)
+        t = Permutation.from_cycles(3, [(1, 2)])
+        c = Permutation.from_cycles(3, [(1, 2, 3)])
+        for terms, text in [
+                ({}, "0"),
+                ({e: 1}, "1"),
+                ({e: -1}, "-1"),
+                ({e: 2, t: -3}, "2*1 - 3*(1 2)"),
+                ({c: -1, t: Fraction(1, 2), e: 1}, "1 + 1/2*(1 2) - (1 2 3)"),
+                ({t: Fraction(-2, 3), c: Fraction(2, 3)},
+                 "-2/3*(1 2) + 2/3*(1 2 3)"),
+                ({t: x, c: -y}, "x*(1 2) - y*(1 2 3)"),
+                ({e: MultiPoly.constant(-1), c: x}, "-1 + x*(1 2 3)")]:
+            element = GroupAlgebraElement(3, terms)
+            assert str(element) == text
+            assert repr(element) == "GroupAlgebraElement(n=3, %s)" % text

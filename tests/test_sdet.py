@@ -115,6 +115,32 @@ class TestMonomialCoefficient:
         with pytest.raises(StructureError):
             monomial_coefficient([(1, 2), (1, 2), (1, 2), (2, 1)])
 
+    @pytest.mark.parametrize("edges, coefficient, cycles", [
+        ([(1, 1), (1, 1)], 2, [(0, 1)]),
+        ([(1, 2), (1, 2), (2, 1), (2, 1)], 4, [(0, 1), (2, 3)]),
+        ([(1, 2), (2, 1), (1, 2), (2, 1)], 4, [(0, 2), (1, 3)]),
+        ([(1, 1), (1, 2), (2, 2), (2, 1)], -2, [(0, 1, 2, 3)]),
+        ([(1, 2), (2, 3), (3, 1), (1, 3), (3, 2), (2, 1)], 2,
+         [(0, 3, 1, 5, 2, 4)]),
+        ([(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)], 2,
+         [(0, 1, 3, 2, 4, 5)]),
+        ([], 1, []),
+    ])
+    def test_cycles(self, edges, coefficient, cycles):
+        # the walk starts at the least unseen edge and steps first to the
+        # other edge with its initial vertex; the CLI prints these cycles
+        result = monomial_coefficient(edges)
+        assert result == (coefficient, len(cycles), cycles)
+
+    @pytest.mark.parametrize("edges", [
+        [(1, 3), (1, 3), (3, 1), (3, 1)],     # vertex 3 outside 1..2
+        [(0, 1), (0, 1), (1, 0), (1, 0)],     # vertex 0
+    ])
+    def test_vertex_outside_range(self, edges):
+        with pytest.raises(StructureError, match="out-degree 2 and "
+                                                 "in-degree 2"):
+            monomial_coefficient(edges)
+
     def _check_symbolic(self, n):
         A = symbolic_matrix("a", n)
         B = symbolic_matrix("b", n)
