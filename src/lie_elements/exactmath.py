@@ -248,7 +248,8 @@ def _grlex_rank(mono):
 def _render_terms(terms):
     """A sum of (coefficient, body) terms as text, in the given order: a
     term with an empty body prints its coefficient, a coefficient of 1 or
-    -1 prints as a sign, any other as "c*body"; no terms print "0"."""
+    -1 prints as a sign, any other as "c*body", with a coefficient that is
+    itself a sum in parentheses; no terms print "0"."""
     parts = []
     for coeff, body in terms:
         if not body:
@@ -258,7 +259,10 @@ def _render_terms(terms):
         elif coeff == -1:
             parts.append("-" + body)
         else:
-            parts.append("%s*%s" % (coeff, body))
+            text = str(coeff)
+            # only a sum of several terms prints a space
+            parts.append("%s*%s" % ("(%s)" % text if " " in text else text,
+                                    body))
     if not parts:
         return "0"
     out = parts[0]

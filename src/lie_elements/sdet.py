@@ -9,8 +9,8 @@ graph.
 Attaching a pair of difference-vector rows to every 4-tuple of labels turns
 sums of shuffle determinants over column subsets into coefficients of a
 characteristic polynomial; phi and the mu-table machinery below implement
-that correspondence.  mu_table(n, r) picks its kernel from r: a
-prefix-wedge search at r = n-1, integer Gram determinants otherwise.
+that correspondence.  mu_table(n, r) builds every table by one
+prefix-wedge search; integer Gram determinants are the reference.
 """
 
 from __future__ import annotations
@@ -224,37 +224,44 @@ def phi(system: EdgeSystem):
 # not depend on the weights, so they are computed once per (n, r) and
 # reused across weightings.
 #
-# Gram tables use the Cauchy-Binet form of c(M).  Write S_I for the r x n
-# shuffle taking row s from A if s is in I, else from B.  Cauchy-Binet
-# gives sum_J det(S_I^J) det(S_Ibar^J) = det(S_I S_Ibar^T), so
+# Write S_I for the r x n shuffle taking row s from A if s is in I, else
+# from B, and ^S_I for the wedge of its rows.  By Cauchy-Binet,
+# sum_J det(S_I^J) det(S_Ibar^J) = <^S_I, ^S_Ibar>, so c(M) is the sum
+# over I of <^S_I, ^S_Ibar>.
 #
-#     c(M) = sum over I of det(G_I),   G_I[s][t] = <row s of S_I,
-#                                                  row t of S_Ibar>,
+# mu_table builds every table by one depth-first search that visits the
+# multisets in lexicographic order.  A node holds, for each row subset I
+# of its prefix, the pair (L, R) of the wedges of the rows of S_I and of
+# S_Ibar, as sparse {column bitmask: int} dicts; the next instance, with
+# rows (a, b), turns (L, R) into (L^a, R^b) and (L^b, R^a).  A pair with
+# a zero side adds nothing below it and is dropped; a node with no pairs
+# left has only zero leaves and is pruned.  The summand is symmetric in I
+# and Ibar, so the first instance only takes (L^a, R^b) and the sum is
+# doubled.
 #
-# an r x r integer Gram matrix whose cost does not depend on n.  Since
-# G_Ibar is the transpose of G_I, the subsets I without row r are summed
-# and doubled.  mu_table builds these Gram tables for every r but n-1.
+# At r = n-1 the search keeps the columns 1..n-1 and multiplies by n: the
+# rows lie in the zero-sum hyperplane, whose (n-1)-th exterior power is
+# one-dimensional, so all n column subsets of size n-1 give the same
+# shuffle-determinant sum.  Every other r keeps all n columns; at r = n-1
+# that would be about twice the work.
 #
-# The top tables (r = n-1) use exterior products on one column subset
-# instead of inner products, so verify_main's cross-check of the top table
-# against the Gram table at r = n-1 compares two independent computations.
-# All n column subsets of size n-1 give the same shuffle-determinant sum,
-# so c(M) = n * sum over I of det(S_I^J) det(S_Ibar^J) with J = {1..n-1}.
-# A depth-first search visits the multisets in lexicographic order.  A node
-# holds, for each row subset I of its prefix, the pair (L, R) of exterior
-# products of the rows of S_I and of S_Ibar on the columns J, as sparse
-# {column bitmask: int} dicts; the next instance, with rows (a, b), turns
-# (L, R) into (L^a, R^b) and (L^b, R^a).  A pair with a zero side adds
-# nothing below it and is dropped; a node with no pairs left has only zero
-# leaves and is pruned.
-# At depth r-1, L^a = <l, a> for the cofactor vector l of L, and likewise
-# rho for R, so the sum over the last instance is
+# At depth r-1 a node folds its pairs once into
 #
-#     sum over pairs of <l,a><rho,b> + <l,b><rho,a> = a^T (K + K^T) b,
-#     K = sum over pairs of l rho^T,
+#     S = K + K^T,   K[x][y] = sum over the pairs and the column sets J
+#                              of (L^e_x)_J (R^e_y)_J,
 #
-# and each leaf costs one bilinear form.  mu_table(6, 5), 96,533 nonzero
-# entries, takes about 3 s (CPython 3.11, one core of a 2-vCPU VM).
+# so that the last instance adds sum over pairs of <L^a, R^b> +
+# <L^b, R^a> = a^T S b.  For a = e_i - e_j and b = e_k - e_l that is four
+# lookups, S[i][k] - S[i][l] - S[j][k] + S[j][l]; at r = n-1 the dropped
+# column is a zero row and column of S.  mu_table(6, 5), 96,533 nonzero
+# entries, takes about 1.1 s (CPython 3.11, one core of a 2-vCPU VM).
+#
+# _gram_table is the reference path.  It evaluates c(M) as the sum over I
+# of det(G_I), where G_I[s][t] = <row s of S_I, row t of S_Ibar> is an
+# r x r integer Gram matrix; det(G_Ibar) = det(G_I), so the subsets I
+# without row r are summed and doubled.  verify_main cross-checks the
+# r = n-1 table against it for n <= 5, so the two sides of that check are
+# independent computations.
 #
 # mu_from_weights sums a table in Z: it scales the weights by the lcm of
 # their denominators, so each weight product is a product of ints, and
@@ -328,42 +335,50 @@ def _gram_table(n: int, r: int) -> Tuple:
     return tuple(table)
 
 
-def _cofactors(form, r: int) -> List[int]:
-    """The vector l with form ^ a = <l, a> e_1^...^e_r, for a form of
-    degree r-1 on r columns."""
-    full = (1 << r) - 1
-    out = [0] * r
-    for mask, x in form.items():
-        col = (full ^ mask).bit_length() - 1
-        out[col] = -x if (mask >> col).bit_count() & 1 else x
-    return out
+@lru_cache(maxsize=None)
+def _extension_signs(cols: int) -> Tuple:
+    """For every mask below 2^cols, the triples (x, J, sign) with
+    e_mask ^ e_x = sign e_J, over the columns x < cols outside mask."""
+    # e_x moves left past the columns of mask above x
+    return tuple(tuple((x, mask | 1 << x, -1 if (mask >> x).bit_count() & 1
+                        else 1)
+                       for x in range(cols) if not mask >> x & 1)
+                 for mask in range(1 << cols))
 
 
-def _symmetric_fold(pairs, r: int) -> List[List[int]]:
-    """K + K^T for K = sum over the pairs (L, R) of l rho^T, with l and rho
-    the cofactor vectors of L and R."""
-    K = [[0] * r for _ in range(r)]
+def _leaf_fold(pairs, cols: int, n: int) -> List[List[int]]:
+    """S = K + K^T, n x n, for K[x][y] = sum over the pairs (L, R) and the
+    column sets J of (L^e_x)_J (R^e_y)_J; rows and columns from cols on
+    stay zero."""
+    K = [[0] * n for _ in range(n)]
+    signs = _extension_signs(cols)
     for L, R in pairs:
-        rho = _cofactors(R, r)
-        for i, x in enumerate(_cofactors(L, r)):
-            if x:
-                row = K[i]
-                for j, y in enumerate(rho):
-                    row[j] += x * y
-    return [[K[i][j] + K[j][i] for j in range(r)] for i in range(r)]
+        # right[J]: the (y, (R^e_y)_J)
+        right = {}
+        for mask, v in R.items():
+            for y, J, sign in signs[mask]:
+                right.setdefault(J, []).append((y, sign * v))
+        for mask, u in L.items():
+            for x, J, sign in signs[mask]:
+                row = K[x]
+                for y, v in right.get(J, ()):
+                    row[y] += sign * u * v
+    return [[K[i][j] + K[j][i] for j in range(n)] for i in range(n)]
 
 
 @lru_cache(maxsize=None)
-def _top_table(n: int) -> Tuple:
-    """The r = n-1 table by the prefix-wedge search described above."""
-    r = n - 1
-
-    def restricted(p, q):
-        # e_p - e_q on the columns 1..n-1, as {column: entry}
-        return {c - 1: v for c, v in ((p, 1), (q, -1)) if c < n}
-
-    rows = [(restricted(*inst.tuple4[:2]), restricted(*inst.tuple4[2:]))
-            for inst in instances(n)]
+def _wedge_table(n: int, r: int) -> Tuple:
+    """The size-r table by the prefix-wedge search described above."""
+    # at r = n-1 the n column subsets of size n-1 give equal sums
+    cols, factor = (n - 1, n) if r == n - 1 else (n, 1)
+    if r > 1:
+        # the first instance puts a on the left only: swapping the sides
+        # of every row swaps L and R, which leaves each leaf unchanged
+        factor *= 2
+    labels = [tuple(v - 1 for v in inst.tuple4) for inst in instances(n)]
+    # e_p - e_q on the columns below cols, as {column: entry}
+    rows = [tuple({c: v for c, v in ((p, 1), (q, -1)) if c < cols}
+                  for p, q in (t[:2], t[2:])) for t in labels]
     table = []
     prefix = []
 
@@ -372,21 +387,22 @@ def _top_table(n: int) -> Tuple:
         # instances the prefix holds twice
         last = prefix[-1] if prefix else None
         if len(prefix) == r - 1:
-            S = _symmetric_fold(pairs, r)
+            S = _leaf_fold(pairs, cols, n)
             for idx in range(lo, len(rows)):
-                a, b = rows[idx]
-                c = sum(x * S[i][j] * y
-                        for i, x in a.items() for j, y in b.items())
+                # a^T S b for a = e_i - e_j, b = e_k - e_l
+                i, j, k, l = labels[idx]
+                Si, Sj = S[i], S[j]
+                c = Si[k] - Si[l] - Sj[k] + Sj[l]
                 if c:
                     table.append((tuple(prefix) + (idx,),
-                                  Fraction(n * c, 2 ** (doubles
-                                                        + (idx == last)))))
+                                  Fraction(factor * c,
+                                           2 ** (doubles + (idx == last)))))
             return
         for idx in range(lo, len(rows)):
             a, b = rows[idx]
             children = []
             for L, R in pairs:
-                for x, y in ((a, b), (b, a)):
+                for x, y in ((a, b), (b, a)) if prefix else ((a, b),):
                     left = _wedge(L, x)
                     if left:
                         right = _wedge(R, y)
@@ -413,20 +429,19 @@ def mu_table(n: int, r: int) -> Tuple:
     as a tuple so that no caller can change it.  Needs
     1 <= r <= n; a degree n above DEGREE_BOUND raises ResourceLimitError.
 
-    r picks the kernel.  At r = n-1, c(M) is n times the
-    shuffle-determinant sum on one column subset: a depth-first
-    prefix-wedge search carries the exterior products of the rows chosen
-    so far and prunes every prefix whose products all vanish.  Every other
-    r evaluates c(M) by Cauchy-Binet as a sum of r x r integer Gram
-    determinants det(G_I) over row subsets I, where G_I holds the inner
-    products of the rows of the shuffle S_I with those of S_Ibar;
-    det(G_Ibar) = det(G_I), so half the subsets are visited and doubled.
+    One depth-first prefix-wedge search builds the table for every r: each
+    node carries the exterior products of the rows of each shuffle pair
+    chosen so far, every prefix whose products all vanish is pruned, and
+    each leaf is four lookups in one folded matrix per node.  At r = n-1
+    the search keeps n-1 columns and multiplies by n; every other r keeps
+    all n columns (Cauchy-Binet).  _gram_table, r x r integer Gram
+    determinants over row subsets, is the reference it is checked against.
     """
     if not 1 <= r <= n:
         raise DimensionError("mu_table needs 1 <= r <= n, got r=%d n=%d"
                              % (r, n))
     _check_bound(n, DEGREE_BOUND, "mu_table degree")
-    return _top_table(n) if r == n - 1 else _gram_table(n, r)
+    return _wedge_table(n, r)
 
 
 def _table_sum(n: int, r: int, table, weight_of):

@@ -273,10 +273,11 @@ def verify_main(n: int, weights: Optional[Dict] = None,
     Missing instance weights are zero, and a key that names no (4-subset,
     variant) instance raises StructureError.
 
-    mu_from_weights reads the r = n-1 coefficient off the top table (one
-    column subset, n equal summands); for n <= 5 it is cross-checked
-    against the same sum over the Gram table at r = n-1, and a mismatch
-    fails the report.
+    mu_from_weights reads every coefficient off the tables of one
+    prefix-wedge search (at r = n-1 on one column subset, n equal
+    summands); for n <= 5 the r = n-1 coefficient is cross-checked against
+    the same sum over the reference Gram table, an independent
+    computation, and a mismatch fails the report.
     """
     t0 = time.perf_counter()
     weights = (quad_weights(n, seed=seed) if weights is None
@@ -292,7 +293,7 @@ def verify_main(n: int, weights: Optional[Dict] = None,
     for r in range(1, n):
         mu = mu_from_weights(n, r, weight_of)
         if r == n - 1 and n <= 5:
-            # the top table and the Gram table must agree
+            # the wedge-search table and the Gram table must agree
             full = _table_sum(n, r, _gram_table(n, r), weight_of)
             ok = ok and mu == full
         mus.append(str(mu))

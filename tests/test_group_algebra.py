@@ -148,7 +148,8 @@ class TestSerialization:
         assert str(x) == "1 - (1 2)"
 
     def test_str_coefficients(self):
-        # identity, unit, negative, non-unit and polynomial coefficients
+        # identity, unit, negative, non-unit and polynomial coefficients;
+        # a coefficient of several terms prints in parentheses
         from lie_elements.exactmath import MultiPoly
         x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
         e = Permutation.identity(3)
@@ -163,7 +164,11 @@ class TestSerialization:
                 ({t: Fraction(-2, 3), c: Fraction(2, 3)},
                  "-2/3*(1 2) + 2/3*(1 2 3)"),
                 ({t: x, c: -y}, "x*(1 2) - y*(1 2 3)"),
-                ({e: MultiPoly.constant(-1), c: x}, "-1 + x*(1 2 3)")]:
+                ({e: MultiPoly.constant(-1), c: x}, "-1 + x*(1 2 3)"),
+                ({e: x - 1, t: x}, "(x - 1)*1 + x*(1 2)"),
+                ({e: MultiPoly.constant(-1), t: -x + y},
+                 "-1 + (-x + y)*(1 2)"),
+                ({e: 3 * x * y, t: -(x * x)}, "3*x*y*1 - x^2*(1 2)")]:
             element = GroupAlgebraElement(3, terms)
             assert str(element) == text
             assert repr(element) == "GroupAlgebraElement(n=3, %s)" % text

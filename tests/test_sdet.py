@@ -245,7 +245,7 @@ class TestMuTables:
             range(len(instances(n))), r) if all(m.count(i) <= 2 for i in m)]
 
     def _check_against_phi(self, n, r, multisets):
-        # the Gram-kernel table against the Fraction column-subset sum
+        # the wedge-search table against the Fraction column-subset sum
         insts = instances(n)
         table = dict(mu_table(n, r))
         for m in multisets:
@@ -264,11 +264,17 @@ class TestMuTables:
             sample = rng.sample(self._candidates(n, r), 60)
             self._check_against_phi(n, r, sample)
 
-    def test_top_table_matches_full(self):
-        # at r = n-1 mu_table reads the top table; the Gram table is the
-        # independent path
-        for n in (4, 5):
-            assert mu_table(n, n - 1) == sdet_module._gram_table(n, n - 1)
+    def test_every_table_matches_gram(self):
+        # the prefix-wedge search against the Gram determinants it
+        # replaced, at every r (at r = n-1 the search keeps n-1 columns);
+        # the tables must be equal as tuples, order and Fraction values
+        # included
+        shapes = [(n, r) for n in (2, 3, 4, 5) for r in range(1, n + 1)]
+        shapes += [(6, r) for r in (1, 2, 3, 4)]
+        for n, r in shapes:
+            table = mu_table(n, r)
+            assert table == sdet_module._gram_table(n, r)
+            assert all(type(value) is Fraction for _, value in table)
 
     @pytest.mark.parametrize("n, r", [
         (5, 0),             # r < 1
@@ -407,20 +413,20 @@ class TestPrefixWedgeSearch:
 
     def test_search_prunes_vanishing_prefixes(self, monkeypatch):
         # no wedge below a vanished side, no fold of an empty node
-        wedge, fold = sdet_module._wedge, sdet_module._symmetric_fold
+        wedge, fold = sdet_module._wedge, sdet_module._leaf_fold
 
         def checked_wedge(form, row):
             assert form
             return wedge(form, row)
 
-        def checked_fold(pairs, r):
+        def checked_fold(pairs, cols, n):
             assert pairs and all(L and R for L, R in pairs)
-            return fold(pairs, r)
+            return fold(pairs, cols, n)
 
         monkeypatch.setattr(sdet_module, "_wedge", checked_wedge)
-        monkeypatch.setattr(sdet_module, "_symmetric_fold", checked_fold)
+        monkeypatch.setattr(sdet_module, "_leaf_fold", checked_fold)
         # past the cache, so the checked kernels run
-        assert sdet_module._top_table.__wrapped__(5) == mu_table(5, 4)
+        assert sdet_module._wedge_table.__wrapped__(5, 4) == mu_table(5, 4)
 
     @pytest.mark.slow
     def test_top_table_n6_matches_oracle(self):
@@ -451,7 +457,7 @@ class TestWeightedSums:
         # still be exact for values with denominators
         table = [((0, 0), Fraction(1, 2)), ((0, 1), Fraction(-3, 4)),
                  ((1, 1), Fraction(5))]
-        monkeypatch.setattr(sdet_module, "_gram_table", lambda n, r: table)
+        monkeypatch.setattr(sdet_module, "_wedge_table", lambda n, r: table)
         weights = dict(zip(instances(4), (Fraction(2, 3), Fraction(-5, 7))))
         value = mu_from_weights(4, 2, weights.__getitem__)
         assert value == _oracle_mu(4, 2, weights.__getitem__)

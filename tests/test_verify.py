@@ -272,14 +272,18 @@ class TestMain:
     @pytest.mark.parametrize("builder", ["top", "gram"])
     def test_cross_check_is_live(self, monkeypatch, n, builder):
         # one value off by one in either table at r = n-1 fails the
-        # report; verify_main reads the top table through sdet and the
-        # Gram table through its own import
-        module, name = ((sdet_module, "_top_table") if builder == "top"
+        # report; verify_main reads the wedge-search table through sdet
+        # and the Gram table through its own import
+        module, name = ((sdet_module, "_wedge_table") if builder == "top"
                         else (verify_mod, "_gram_table"))
         real = getattr(module, name)
 
-        def off_by_one(*args):
-            (multiset, value), *rest = real(*args)
+        def off_by_one(n, r):
+            # the wedge search builds every r; only r = n-1 is changed
+            table = real(n, r)
+            if r != n - 1:
+                return table
+            (multiset, value), *rest = table
             return [(multiset, value + 1)] + rest
 
         assert verify_main(n, seed=3).passed
