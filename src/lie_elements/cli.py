@@ -16,11 +16,12 @@ import json
 import sys
 
 from itertools import permutations as iter_permutations
+from math import perm
 from typing import Optional
 
 from . import graphs, sdet as sdet_mod, verify as verify_mod, wedge_rep
-from .exactmath import DimensionError, ExactMatrix, ResourceLimitError, \
-    StructureError, rational
+from .exactmath import WORK_BOUND, DimensionError, ExactMatrix, \
+    ResourceLimitError, StructureError, _check_bound, rational
 from .lie_generators import all_kappas, lie_closure
 
 
@@ -127,6 +128,8 @@ def _emit(records, fmt, out):
 def _run_verify(args) -> int:
     n, target = args.n, args.target
     if target == "rank2":
+        # an n x n matrix for each ordered 4-tuple of labels
+        _check_bound(perm(n, 4) * n * n, WORK_BOUND, "rank2 matrix entries")
         reports = [verify_mod.verify_rank2(*quad, n=n)
                    for quad in iter_permutations(range(1, n + 1), 4)]
     else:

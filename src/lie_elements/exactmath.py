@@ -283,9 +283,9 @@ class ResourceLimitError(RuntimeError):
     """Requested size exceeds the configured bound."""
 
 
-# the largest degree n that lie_space, lie_closure, the repeated
-# commutators and mu_table take by default
-DEGREE_BOUND = 6
+# the most work any bounded call may do: each call estimates, before it
+# starts, the size of what it builds or walks, and checks it against this
+WORK_BOUND = 2_000_000
 
 
 def _check_bound(size, bound, what):

@@ -21,20 +21,14 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb, prod
 from typing import Iterator, Sequence, Tuple
 
-from .exactmath import StructureError, _check_bound, _scaled_integers
+from .exactmath import (WORK_BOUND, StructureError, _check_bound,
+                        _scaled_integers)
 from .perm import inversion_sign
-from .sdet import instances
+from .sdet import _multisets, instances
 
 
 class NotAThreeTreeError(ValueError):
     """The triangle product is not a single cycle on all vertices."""
-
-
-THREE_TREE_EDGE_BOUND = 3
-# the most trees or 4-graphs enumerate_trees and enumerate_four_graphs will
-# visit, and the most trees spanning_tree_sum will sum over (the term count
-# of a symbolic sum)
-ENUMERATION_BOUND = 2_000_000
 
 
 # -- plain trees ---------------------------------------------------------
@@ -109,10 +103,10 @@ def prufer_decode(seq: Sequence[int], n: int) -> LabeledTree:
 
 def enumerate_trees(n: int) -> Iterator[LabeledTree]:
     """All n^(n-2) labeled trees on 1..n, via Prufer decoding; a count
-    above ENUMERATION_BOUND raises ResourceLimitError."""
+    above WORK_BOUND raises ResourceLimitError."""
     if n < 1:
         raise ValueError("n must be positive")
-    _check_bound(n ** max(n - 2, 0), ENUMERATION_BOUND, "labeled trees")
+    _check_bound(n ** max(n - 2, 0), WORK_BOUND, "labeled trees")
     return (prufer_decode(seq, n)
             for seq in product(range(1, n + 1), repeat=max(n - 2, 0)))
 
@@ -150,12 +144,12 @@ def spanning_tree_sum(n: int, weights):
     edges the sum is f(all) / s^(n-1).  A MultiPoly weight scales the same
     way (its denominator is the lcm of its coefficients' denominators), so
     rational and symbolic tables take one path; a rational table gives a
-    Fraction.  More than ENUMERATION_BOUND trees to sum over (the term
-    count of a symbolic sum) raises ResourceLimitError.
+    Fraction.  More than WORK_BOUND trees to sum over (the term count of
+    a symbolic sum) raises ResourceLimitError.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    _check_bound(n ** max(n - 2, 0), ENUMERATION_BOUND, "labeled trees")
+    _check_bound(n ** max(n - 2, 0), WORK_BOUND, "labeled trees")
     edges = list(combinations(range(n), 2))
     scaled, scale = _scaled_integers(
         [_pair_weight(weights, i + 1, j + 1) for i, j in edges])
@@ -252,14 +246,14 @@ def is_three_tree(graph: ThreeGraph) -> bool:
     return True
 
 
-def enumerate_three_trees(m: int, bound=THREE_TREE_EDGE_BOUND
+def enumerate_three_trees(m: int, bound=WORK_BOUND
                           ) -> Iterator[ThreeGraph]:
-    """All 3-trees with m triangles on vertices 1..2m+1, each once.  An m
-    above `bound` raises ResourceLimitError; bound=None lifts the bound."""
+    """All 3-trees with m triangles on vertices 1..2m+1, each once.  More
+    than `bound` triangle multisets raise ResourceLimitError; None lifts it."""
     if m < 1:
         raise ValueError("m must be positive")
-    _check_bound(m, bound, "3-tree triangles")
     n = 2 * m + 1
+    _check_bound(comb(comb(n, 3) + m - 1, m), bound, "triangle multisets")
     triples = list(combinations(range(1, n + 1), 3))
     # Lexicographic search over sorted triangle multisets, in the order of
     # combinations_with_replacement.  A triangle is kept only if it joins
@@ -333,10 +327,9 @@ def three_tree_sum(m: int, weights):
     runs in Z: the weights are scaled once by the lcm s of their
     denominators, and since every 3-tree has m triangles the sum is
     total / s^m; a MultiPoly weight scales the same way, so rational and
-    symbolic tables take one path.  An m above THREE_TREE_EDGE_BOUND
-    raises ResourceLimitError on every call, before the table is read.
+    symbolic tables take one path.  The table comes from
+    enumerate_three_trees, so its bound raises on every call past it.
     """
-    _check_bound(m, THREE_TREE_EDGE_BOUND, "3-tree triangles")
     keys = list(weights)
     scaled, scale = _scaled_integers([weights[key] for key in keys])
     scaled = dict(zip(keys, scaled))
@@ -385,13 +378,12 @@ class FourGraph:
 
 def enumerate_four_graphs(r: int, n: int) -> Iterator[FourGraph]:
     """All multisets of r (4-subset, variant) pairs on vertices 1..n; a
-    count above ENUMERATION_BOUND raises ResourceLimitError."""
+    count above WORK_BOUND raises ResourceLimitError."""
     if r < 1:
         raise ValueError("r must be positive")
     if n < 4:
         raise ValueError("n must be at least 4")
+    _check_bound(_multisets(n, r), WORK_BOUND, "four-graphs")
     pairs = [(inst.quad, inst.variant) for inst in instances(n)]
-    _check_bound(comb(len(pairs) + r - 1, r), ENUMERATION_BOUND,
-                 "four-graphs")
     return (FourGraph(n, chosen)
             for chosen in combinations_with_replacement(pairs, r))

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations as index_permutations
+from math import factorial
 from types import MappingProxyType
 from typing import List, Sequence, Tuple
 
-from .exactmath import (DEGREE_BOUND, ExactMatrix, Span, _check_bound,
+from .exactmath import (WORK_BOUND, ExactMatrix, Span, _check_bound,
                         _integer_row)
 from .group_algebra import GroupAlgebraElement
 from .perm import Permutation, all_permutations
@@ -180,11 +181,11 @@ def no_invariant_line() -> bool:
 
 
 def lie_closure(generators: Sequence[GroupAlgebraElement], n: int,
-                bound=DEGREE_BOUND) -> List[GroupAlgebraElement]:
+                bound=WORK_BOUND) -> List[GroupAlgebraElement]:
     """Basis of the smallest bracket-closed subspace containing the
     generators.  Each round brackets the current basis with the generators
-    only; iteration stops when the dimension stabilizes.  A degree n above
-    `bound` raises ResourceLimitError; bound=None lifts it.
+    only; iteration stops when the dimension stabilizes.  More than `bound`
+    (n!)^2 row entries raise ResourceLimitError; bound=None lifts it.
 
     The work is in integer rows over the columns of S_n.  Each generator is
     scaled to a primitive integer row, which leaves the closure unchanged
@@ -192,7 +193,7 @@ def lie_closure(generators: Sequence[GroupAlgebraElement], n: int,
     support, left[c] and right[c] are the columns of q p_c and p_c q, so
     [x, g] is the sum of x_c g_q (e_right[c] - e_left[c]); the identity's
     term is zero."""
-    _check_bound(n, bound, "lie_closure degree")
+    _check_bound(factorial(n) ** 2, bound, "lie_closure entries")
     perms = all_permutations(n)
     images = [p.images for p in perms]
     column = _columns(n)
@@ -237,7 +238,7 @@ def repeated_commutator_set(n: int) -> List[GroupAlgebraElement]:
     commutator to take."""
     if n < 2:
         raise ValueError("repeated commutators need n >= 2, got %d" % n)
-    _check_bound(n, DEGREE_BOUND, "repeated commutator degree")
+    _check_bound(factorial(n) ** 2 // n, WORK_BOUND, "commutator terms")
     out = []
 
     def extend(s, acc):

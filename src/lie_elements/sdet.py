@@ -20,16 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
+from math import comb, factorial
 from typing import List, Sequence, Tuple
 
-from .exactmath import (DEGREE_BOUND, DimensionError, ExactMatrix,
+from .exactmath import (WORK_BOUND, DimensionError, ExactMatrix,
                         MultiPoly, StructureError, _bareiss_det,
                         _check_bound, _scaled_integers, _wedge, rational)
 from .perm import all_permutations
-
-
-SDET_BOUND = 10          # 2^n shuffle pairs
-SYMBOLIC_BOUND = 5       # polynomial determinant expansion
 
 
 # -- shuffles ------------------------------------------------------------
@@ -55,7 +52,7 @@ def sdet(A: ExactMatrix, B: ExactMatrix):
     n = A.shape[0]
     if not A.is_square():
         raise DimensionError("sdet needs square matrices")
-    _check_bound(n, SDET_BOUND, "sdet size")
+    _check_bound(2 ** n * n ** 3, WORK_BOUND, "sdet steps")
     total = Fraction(0)
     indices = list(range(1, n + 1))
     for size in range(n + 1):
@@ -75,7 +72,7 @@ def sdet_via_coeff(A: ExactMatrix, B: ExactMatrix):
     if A.shape != B.shape:
         raise DimensionError("shapes %r and %r differ" % (A.shape, B.shape))
     n = A.shape[0]
-    _check_bound(n, SYMBOLIC_BOUND, "symbolic sdet size")
+    _check_bound(4 ** n, WORK_BOUND, "symbolic sdet term products")
     xs = [MultiPoly.variable("x%d" % (i + 1)) for i in range(n)]
     data = [[MultiPoly.constant(A.data[i][j]) + MultiPoly.constant(
         B.data[i][j]) * xs[i] for j in range(n)] for i in range(n)]
@@ -93,7 +90,7 @@ def sdet_identity_formula(A: ExactMatrix):
     n = A.shape[0]
     if not A.is_square():
         raise DimensionError("square matrix required")
-    _check_bound(n, 7, "sdet_identity_formula size")
+    _check_bound(factorial(n) * n, WORK_BOUND, "sdet_identity_formula steps")
     total = Fraction(0)
     for sigma in all_permutations(n):
         prod = Fraction(-2) ** sigma.cycle_count()
@@ -265,7 +262,8 @@ def phi(system: EdgeSystem):
 #
 # mu_from_weights sums a table in Z: it scales the weights by the lcm of
 # their denominators, so each weight product is a product of ints, and
-# builds one Fraction at the end.
+# builds one Fraction at the end; the table values are scaled once per
+# table.
 
 Instance = namedtuple("Instance", ["quad", "variant", "tuple4"])
 
@@ -426,8 +424,8 @@ def mu_table(n: int, r: int) -> Tuple:
     sum over the tuple with per-instance weight products gives the
     coefficient.  The multisets come in the order of
     combinations_with_replacement.  Each table is built once, and shared
-    as a tuple so that no caller can change it.  Needs
-    1 <= r <= n; a degree n above DEGREE_BOUND raises ResourceLimitError.
+    as a tuple so that no caller can change it.  Needs 1 <= r <= n; more
+    than WORK_BOUND multisets to search raise ResourceLimitError.
 
     One depth-first prefix-wedge search builds the table for every r: each
     node carries the exterior products of the rows of each shuffle pair
@@ -440,19 +438,33 @@ def mu_table(n: int, r: int) -> Tuple:
     if not 1 <= r <= n:
         raise DimensionError("mu_table needs 1 <= r <= n, got r=%d n=%d"
                              % (r, n))
-    _check_bound(n, DEGREE_BOUND, "mu_table degree")
+    _check_bound(_multisets(n, r), WORK_BOUND, "mu_table multisets")
     return _wedge_table(n, r)
 
 
-def _table_sum(n: int, r: int, table, weight_of):
-    """The weighted sum of a size-r table, in Z: the weights are scaled by
-    the lcm of their denominators, the table values by the lcm of theirs,
-    and the one Fraction is built at the end."""
+def _multisets(n: int, r: int) -> int:
+    """The number of size-r multisets of the 2 C(n, 4) instances."""
+    return comb(max(2 * comb(n, 4) + r - 1, 0), r)
+
+
+@lru_cache(maxsize=None)
+def _integer_values(build, n: int, r: int):
+    """The values of the table build(n, r) scaled to integers by the lcm
+    of their denominators, and that lcm; computed once per table."""
+    values, denom = _scaled_integers([value for _, value in build(n, r)])
+    return tuple(values), denom
+
+
+def _table_sum(n: int, r: int, build, weight_of):
+    """The weighted sum of the size-r table build(n, r), in Z: the weights
+    are scaled by the lcm of their denominators, the table values by the
+    lcm of theirs (once per table), and the one Fraction is built at the
+    end."""
     weights, scale = _scaled_integers(
         [rational(weight_of(inst)) for inst in instances(n)])
-    values, denom = _scaled_integers([value for _, value in table])
+    values, denom = _integer_values(build, n, r)
     total = 0
-    for (multiset, _), value in zip(table, values):
+    for (multiset, _), value in zip(build(n, r), values):
         for idx in multiset:
             value *= weights[idx]
         total += value
@@ -465,4 +477,5 @@ def mu_from_weights(n: int, r: int, weight_of):
     weight_of maps an Instance to its rational weight; it is called once
     per instance.  The sum runs in Z (see _table_sum).
     """
-    return _table_sum(n, r, mu_table(n, r), weight_of)
+    mu_table(n, r)      # its argument and bound checks
+    return _table_sum(n, r, _wedge_table, weight_of)

@@ -30,14 +30,15 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Dict, Optional
 
-from .exactmath import DEGREE_BOUND, ExactMatrix, MultiPoly, \
+from .exactmath import WORK_BOUND, ExactMatrix, MultiPoly, \
     StructureError, _check_bound
 from .graphs import spanning_tree_sum, three_tree_sum
 from .group_algebra import GroupAlgebraElement
 from .lie_generators import all_kappas, eta, kappa, lie_closure, nu, \
     repeated_commutator_set, span_contains
 from .perm import inversion_sign
-from .sdet import _gram_table, _table_sum, instances, mu_from_weights
+from .sdet import _gram_table, _multisets, _table_sum, instances, \
+    mu_from_weights
 from .wedge_rep import action_matrix, action_rank, is_lie, lie_space
 
 
@@ -202,12 +203,13 @@ def verify_pft(n: int, weights: Optional[Dict] = None,
     signed triangle table per m, summed in Z) runs first, so its resource
     bound stops a large n before the C(n, 3) nus are built.  Even n: the
     determinant of y on the hyperplane vanishes; with symbolic weights it
-    is a polynomial det of size n-1 in C(n, 3) variables, so an n above
-    DEGREE_BOUND raises ResourceLimitError before y is built.
+    is a polynomial det of size n-1 in C(n, 3) variables, so too many
+    monomials of degree n-1 raise ResourceLimitError before y is built.
     """
     t0 = time.perf_counter()
     if symbolic and n % 2 == 0:
-        _check_bound(n, DEGREE_BOUND, "symbolic even-n Pfaffian degree")
+        _check_bound(math.comb(math.comb(n, 3) + n - 2, n - 1), WORK_BOUND,
+                     "symbolic even-n Pfaffian monomials")
     triples = combinations(range(1, n + 1), 3)
     weights = (triple_weights(n, seed=seed, symbolic=symbolic)
                if weights is None else _complete(weights, triples))
@@ -280,9 +282,11 @@ def verify_main(n: int, weights: Optional[Dict] = None,
     computation, and a mismatch fails the report.
     """
     t0 = time.perf_counter()
+    _check_bound(_multisets(n, n - 1), WORK_BOUND, "mu_table multisets")
+    etas = _generators(n, "eta")
     weights = (quad_weights(n, seed=seed) if weights is None
-               else _complete(weights, _generators(n, "eta")))
-    z = element_from_quad_weights(n, weights)
+               else _complete(weights, etas))
+    z = _weighted_sum(n, ((w, etas[key]) for key, w in weights.items() if w))
     cp = action_matrix(z, "permutation").charpoly()
 
     def weight_of(inst):
@@ -294,7 +298,7 @@ def verify_main(n: int, weights: Optional[Dict] = None,
         mu = mu_from_weights(n, r, weight_of)
         if r == n - 1 and n <= 5:
             # the wedge-search table and the Gram table must agree
-            full = _table_sum(n, r, _gram_table(n, r), weight_of)
+            full = _table_sum(n, r, _gram_table, weight_of)
             ok = ok and mu == full
         mus.append(str(mu))
         ok = ok and cp[n - r] == mu

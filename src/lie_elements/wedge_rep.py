@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb, factorial
 from types import MappingProxyType
 from typing import Tuple
 
-from .exactmath import (DEGREE_BOUND, ExactMatrix, Span, _check_bound,
+from .exactmath import (WORK_BOUND, ExactMatrix, Span, _check_bound,
                         _scaled_integers, rational)
 from .group_algebra import GroupAlgebraElement
 from .perm import all_permutations, inversion_sign
@@ -156,11 +157,12 @@ class LieSpaceResult:
         return len(self.basis)
 
 
-def lie_space(n: int, bound=DEGREE_BOUND) -> LieSpaceResult:
+def lie_space(n: int, bound=WORK_BOUND) -> LieSpaceResult:
     """Exact basis of the space of Lie elements in Q[S_n], solved once per
-    n and shared: the result is read-only.  A degree n above `bound` raises
-    ResourceLimitError on every call; bound=None lifts it."""
-    _check_bound(n, bound, "lie_space degree")
+    n and shared: the result is read-only.  More than `bound` equation
+    entries raise ResourceLimitError on every call; bound=None lifts it."""
+    entries = sum(comb(n, m) ** 2 for m in _informative_degrees(n))
+    _check_bound(factorial(n) * entries, bound, "lie_space equation entries")
     return _lie_space(n)
 
 

@@ -128,7 +128,7 @@ class TestExitCodes:
         # a bound below 5^3 trees; with the real bound, --n 9 (9^7 trees)
         # stops the same way (test_graphs checks that), while a missing
         # check would build millions of records here
-        monkeypatch.setattr(graphs, "ENUMERATION_BOUND", 124)
+        monkeypatch.setattr(graphs, "WORK_BOUND", 124)
         code, err = run_error(capsys, "enumerate", "trees", "--n", "5")
         assert code == 3
         assert err == ("resource bound exceeded: labeled trees: 125 exceeds "
@@ -148,6 +148,9 @@ class TestExitCodes:
         ["sdet", "eval", "--matrix-a", json.dumps([[1] * 11] * 11),
          "--matrix-b", json.dumps([[1] * 11] * 11)],
         ["verify", "pft", "--n", "8", "--symbolic"],
+        ["verify", "rank2", "--n", "13"],
+        ["sdet", "symbolic", "--matrix-a", json.dumps([[1] * 11] * 11),
+         "--matrix-b", json.dumps([[1] * 11] * 11)],
     ])
     def test_stops_at_its_bound(self, argv, capsys):
         # each bound is checked before the work it bounds, so the command

@@ -87,6 +87,12 @@ class TestSdetIdentities:
             assert (sdet(A.scale(lam), B.scale(mu))
                     == lam ** n * mu ** n * sdet(A, B))
 
+    def test_coefficient_form_past_five(self):
+        rng = random.Random(13)
+        for n in (6, 7):
+            A, B = rand_matrix(n, rng), rand_matrix(n, rng)
+            assert sdet_via_coeff(A, B) == sdet(A, B)
+
     def test_identity_formula_random(self):
         rng = random.Random(6)
         for n in (1, 2, 3, 4):
@@ -427,6 +433,11 @@ class TestPrefixWedgeSearch:
         monkeypatch.setattr(sdet_module, "_leaf_fold", checked_fold)
         # past the cache, so the checked kernels run
         assert sdet_module._wedge_table.__wrapped__(5, 4) == mu_table(5, 4)
+
+    @pytest.mark.parametrize("n, r", [(7, 3), (8, 2)])
+    def test_tables_past_six_match_gram(self, n, r):
+        table = mu_table(n, r)
+        assert table == sdet_module._gram_table(n, r)
 
     @pytest.mark.slow
     def test_top_table_n6_matches_oracle(self):

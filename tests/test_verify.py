@@ -290,6 +290,47 @@ class TestMain:
         monkeypatch.setattr(module, name, off_by_one)
         assert verify_main(n, seed=3).status == "FAIL"
 
+    def test_bound_before_etas_and_tables(self, monkeypatch):
+        # n = 7 stops at the size of its r = 6 table, before any eta or
+        # table is built; the generator cache is cleared so that etas an
+        # earlier call built cannot hide a build
+        built = []
+
+        def record(*args):
+            built.append(args)
+
+        monkeypatch.setattr(verify_mod, "eta", record)
+        monkeypatch.setattr(verify_mod, "_gram_table", record)
+        monkeypatch.setattr(sdet_module, "_wedge_table", record)
+        verify_mod._generators.cache_clear()
+        try:
+            with pytest.raises(ResourceLimitError):
+                verify_main(7, seed=1)
+        finally:
+            verify_mod._generators.cache_clear()
+        assert built == []
+
+    def test_table_values_scaled_once(self, monkeypatch):
+        # each table is scaled to integers once; a later sum scales only
+        # its weights
+        calls = []
+        real = sdet_module._scaled_integers
+
+        def record(values):
+            calls.append(len(values))
+            return real(values)
+
+        monkeypatch.setattr(sdet_module, "_scaled_integers", record)
+        sdet_module._integer_values.cache_clear()
+        counts = []
+        for seed in (1, 2):
+            assert verify_main(5, seed=seed).passed
+            counts.append(len(calls))
+            calls.clear()
+        # five sums (r = 1..4, and the Gram cross-check at r = 4) scale
+        # their weights on every call, and their five tables on the first
+        assert counts == [10, 5]
+
     @pytest.mark.parametrize("key", [
         ((2, 1, 3, 4), "T1"),       # not ascending
         ((1, 2, 3, 4), "T3"),       # no such variant
