@@ -15,6 +15,7 @@ import io
 import json
 import sys
 
+from functools import lru_cache
 from itertools import permutations as iter_permutations
 from math import perm
 from typing import Optional
@@ -365,9 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's one parser per process; build_parser stays a fresh parser per
+# call, so no caller can change a later command line through it
+_parser = lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except ResourceLimitError as exc:
         sys.stderr.write("resource bound exceeded: %s\n" % exc)

@@ -17,8 +17,8 @@ from math import comb, factorial
 from types import MappingProxyType
 from typing import Tuple
 
-from .exactmath import (WORK_BOUND, ExactMatrix, Span, _check_bound,
-                        _scaled_integers, rational)
+from .exactmath import (WORK_BOUND, ExactMatrix, Span, StructureError,
+                        _check_bound, _scaled_integers, rational)
 from .group_algebra import GroupAlgebraElement
 from .perm import all_permutations, inversion_sign
 
@@ -57,6 +57,14 @@ def sort_with_sign(seq):
     return tuple(sorted(items)), inversion_sign(items)
 
 
+def _passed_sign(mask: int, a: int, b: int) -> int:
+    """(-1)^(the entries of mask strictly between a and b): the sign of
+    replacing the factor a of a sorted wedge by b."""
+    lo, hi = min(a, b), max(a, b)
+    passed = (mask >> lo + 1) & ((1 << hi - lo - 1) - 1)
+    return -1 if passed.bit_count() & 1 else 1
+
+
 def _signed_images(images, m: int):
     """Both actions of the permutation g with this image tuple on Lambda^m:
     for each basis subset S, (row, sign) of its multiplicative image and the
@@ -76,10 +84,8 @@ def _signed_images(images, m: int):
             if t == s:
                 derivs.append((col, 1))
             elif not mask >> t & 1:
-                lo, hi = min(s, t), max(s, t)
-                passed = (mask >> lo + 1) & ((1 << hi - lo - 1) - 1)
                 derivs.append((row_of[(mask ^ 1 << s) | 1 << t],
-                               -1 if passed.bit_count() & 1 else 1))
+                               _passed_sign(mask, s, t)))
         out.append(((row_of[seen], -1 if inversions & 1 else 1), derivs))
     return out
 
@@ -105,46 +111,68 @@ def alg_matrix(x: GroupAlgebraElement, m: int) -> ExactMatrix:
     return ExactMatrix(data)
 
 
-def _informative_degrees(n: int):
-    """The wedge degrees whose equations decide the Lie property: m = 0 and
-    m = 2..n-1.
+def _hook_equations(terms, n: int, k: int):
+    """The Lie equations on the hook Lambda^k R: the entries {(row, col):
+    value} of the multiplicative minus the derivation action of the sum of
+    c g over (image tuple of g, integer c) terms, in the basis f_C of
+    _basis(n - 1, k), f_C the wedge of f_s = e_s - e_n over s in C.  An
+    entry that cancels is kept, as 0.
 
-    Write V = 1 + R, the line of u = e_1 + ... + e_n plus the zero-sum
-    hyperplane R.  x acts on the line by its coefficient sum s, and both
-    actions preserve Lambda^m V = Lambda^m R + u ^ Lambda^(m-1) R.  At
-    m = 1 both actions are x on V.  At m = n, Lambda^n V = u ^
-    Lambda^(n-1) R, and every g fixes u, so the multiplicative action is
-    the one on Lambda^(n-1) R and the derivation action is s plus the one
-    on Lambda^(n-1) R.  The m = 0 equation is s = 0, and the m = n-1
-    equation holds on its summand Lambda^(n-1) R, so together they give
-    the m = n equation.
+    With top = g(n) and f_n = 0, g f_s = f_g(s) - f_top.  So g f_C is one
+    signed term if top = n; if g^-1(n) is in C, its factor is -f_top and
+    the term is one; otherwise it is the term of g(C) and the k terms with
+    one factor replaced by -f_top.  A derivation replaces one factor s by
+    f_g(s) - f_top: at most 2k terms, a factor equal to s on the diagonal.
     """
-    return (0, *range(2, n))
-
-
-def _lie_equations(terms, m: int):
-    """The Lie equations on Lambda^m: the entries {(row, col): value} of
-    the multiplicative minus the derivation action of the sum of c g over
-    (image tuple of g, c) terms.  An entry that cancels is kept, as 0."""
+    basis = _basis(n - 1, k)
+    row_of = basis.index
     diff = {}
     for images, c in terms:
-        for col, ((row, sign), derivs) in enumerate(
-                _signed_images(images, m)):
-            diff[row, col] = diff.get((row, col), 0) + sign * c
-            for row, sign in derivs:
-                diff[row, col] = diff.get((row, col), 0) - sign * c
+        top = images[-1]
+        for col, (subset, mask) in enumerate(zip(basis.subsets, basis.masks)):
+            imgs = [images[s - 1] for s in subset]
+            seen = inversions = 0
+            for t in imgs:
+                inversions += (seen >> t).bit_count()
+                seen |= 1 << t
+            signed = -c if inversions & 1 else c    # g(C), factors in order
+            if seen >> n & 1:       # g^-1(n) in C: its factor is -f_top
+                replaced = (n,)
+            else:
+                key = row_of[seen], col
+                diff[key] = diff.get(key, 0) + signed
+                replaced = imgs if top != n else ()  # each factor -> -f_top
+            for a in replaced:
+                key = row_of[(seen ^ 1 << a) | 1 << top], col
+                diff[key] = (diff.get(key, 0)
+                             - _passed_sign(seen, a, top) * signed)
+            for s, t in zip(subset, imgs):
+                for image, sign in ((t, -c), (top, c)):  # f_t - f_top
+                    if image == s:
+                        key = col, col
+                    elif image != n and not mask >> image & 1:
+                        key = row_of[(mask ^ 1 << s) | 1 << image], col
+                        sign *= _passed_sign(mask, s, image)
+                    else:
+                        continue
+                    diff[key] = diff.get(key, 0) + sign
     return diff
 
 
 def is_lie(x: GroupAlgebraElement) -> bool:
-    """True iff the two actions agree on every wedge power m = 0..n; only
-    the degrees of _informative_degrees are checked, which is equivalent.
-    Over Q: the coefficients are scaled to integers once, and the sparse
-    integer difference of the two actions is checked one m at a time."""
+    """True iff the two actions agree on every wedge power m = 0..n.
+
+    Write V = 1 + R, the line of u = e_1 + ... + e_n plus the zero-sum
+    hyperplane R, and s for the coefficient sum of x.  Both actions keep
+    Lambda^m V = Lambda^m R + u ^ Lambda^(m-1) R; on u ^ w the difference
+    of the two is u ^ (the difference on w, minus s w).  At k = 0 the
+    difference on Lambda^k R is s, at k = 1 it is 0, and Lambda^n R = 0.
+    So x is Lie iff s = 0 and _hook_equations vanishes for k = 2..n-1.
+    Over Q: the coefficients are scaled to integers once."""
     ints, _ = _scaled_integers([rational(c) for c in x.terms.values()])
     terms = list(zip([perm.images for perm in x.terms], ints))
-    return not any(any(_lie_equations(terms, m).values())
-                   for m in _informative_degrees(x.n))
+    return not sum(ints) and not any(
+        any(_hook_equations(terms, x.n, k).values()) for k in range(2, x.n))
 
 
 @dataclass(frozen=True)
@@ -157,12 +185,27 @@ class LieSpaceResult:
         return len(self.basis)
 
 
+def _lie_rank(n: int) -> int:
+    """The number of independent Lie equations, C(2n-2, n-1) - (n-1)^2:
+    the coefficient sum and every entry of every hook equation.
+
+    x -> (s, x on R, x on Lambda^2 R, ..., x on Lambda^(n-1) R) is onto,
+    since Q[S_n] maps onto the sum of End(S^lambda) over the irreducibles
+    and the hooks Lambda^k R are pairwise distinct irreducibles.  The
+    derivation action on Lambda^k R is a linear function D_k of A = x on
+    R, and (s, A, B_2, ...) -> (s, A, B_2 - D_2(A), ...) is invertible, so
+    the functionals s and B_k - D_k(A), k >= 2, are independent.  They
+    number 1 + sum over k = 2..n-1 of C(n-1, k)^2, and so dim Lie(V) =
+    n! - C(2n-2, n-1) + (n-1)^2 for every n."""
+    return comb(2 * n - 2, n - 1) - (n - 1) ** 2
+
+
 def lie_space(n: int, bound=WORK_BOUND) -> LieSpaceResult:
     """Exact basis of the space of Lie elements in Q[S_n], solved once per
     n and shared: the result is read-only.  More than `bound` equation
     entries raise ResourceLimitError on every call; bound=None lifts it."""
-    entries = sum(comb(n, m) ** 2 for m in _informative_degrees(n))
-    _check_bound(factorial(n) * entries, bound, "lie_space equation entries")
+    _check_bound(factorial(n) * _lie_rank(n), bound,
+                 "lie_space equation entries")
     return _lie_space(n)
 
 
@@ -170,20 +213,19 @@ def lie_space(n: int, bound=WORK_BOUND) -> LieSpaceResult:
 def _lie_space(n: int) -> LieSpaceResult:
     """The solve behind lie_space.
 
-    One unknown per permutation; one homogeneous equation per entry of
-    _lie_equations, for the degrees m of _informative_degrees (the others
-    add nothing to the row space), inserted into one Span in sorted entry
-    order as soon as its degree is built.  The kernel basis comes from
-    reduced echelon form with unknowns in lexicographic image order, so
-    the output is deterministic.
+    One unknown per permutation; the all-ones row (the coefficient sum),
+    then one row per entry of _hook_equations, hook by hook in sorted entry
+    order.  The rows are independent (_lie_rank), so every insert enlarges
+    the Span.  The kernel basis comes from reduced echelon form with
+    unknowns in lexicographic image order, so the output is deterministic.
     """
     perms = all_permutations(n)
-    span = Span()
-    for m in _informative_degrees(n):
+    span = Span([dict.fromkeys(range(len(perms)), 1)])
+    for k in range(2, n):
         # blocks[(row, col)][perm index] -> integer coefficient
         blocks = {}
         for gi, perm in enumerate(perms):
-            for key, v in _lie_equations([(perm.images, 1)], m).items():
+            for key, v in _hook_equations([(perm.images, 1)], n, k).items():
                 blocks.setdefault(key, {})[gi] = v
         for key in sorted(blocks):
             span.insert(blocks[key])
@@ -212,6 +254,18 @@ def action_matrix(x: GroupAlgebraElement, representation: str = "permutation"
 
 def action_rank(elements) -> int:
     """Rank of the permutation actions of the elements on Q^n, each n x n
-    matrix flattened into one row."""
-    return ExactMatrix([[v for row in action_matrix(x).data for v in row]
-                        for x in elements]).rank()
+    matrix flattened into one sparse row {(g(i) - 1) n + i - 1: sum of
+    c}, in Z after scaling by the lcm of the element's denominators (the
+    row space is the same); rational coefficients only."""
+    span = Span()
+    for x in elements:
+        if not all(isinstance(c, Fraction) for c in x.terms.values()):
+            raise StructureError("action_rank needs rational coefficients")
+        ints, _ = _scaled_integers(list(x.terms.values()))
+        row = {}
+        for perm, c in zip(x.terms, ints):
+            for i, img in enumerate(perm.images):
+                key = (img - 1) * x.n + i
+                row[key] = row.get(key, 0) + c
+        span.insert(row)
+    return len(span)

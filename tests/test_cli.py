@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lie_elements import graphs, wedge_rep
+from lie_elements import cli, graphs, wedge_rep
 from lie_elements.cli import WeightConflictError, load_weights, main
 
 
@@ -161,6 +161,20 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("resource bound exceeded: ")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self, capsys):
+        # main parses every command line with one cached parser, and a
+        # usage error leaves nothing behind for the next call;
+        # build_parser still returns a fresh parser on every call
+        good = ("lie", "dim", "--n", "3")
+        first = run(capsys, *good)
+        error = assert_input_error(capsys, "lie", "dim", "--n", "0")
+        assert run(capsys, *good) == first == (0, "4\n")
+        assert assert_input_error(capsys, "lie", "dim", "--n", "0") == error
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
 
 
 class TestAllowHeavy:

@@ -1,11 +1,15 @@
+import hashlib
+import json
 import random
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb, factorial
 
 import pytest
 
-from lie_elements.exactmath import ExactMatrix, MultiPoly, ResourceLimitError
+from lie_elements.exactmath import (ExactMatrix, MultiPoly, ResourceLimitError,
+                                    StructureError)
 from lie_elements.group_algebra import GroupAlgebraElement
 from lie_elements.lie_generators import eta, kappa, lie_closure, nu
 from lie_elements.perm import Permutation, all_permutations
@@ -14,7 +18,7 @@ from lie_elements import wedge_rep
 from lie_elements.wedge_rep import (WedgeBasis, action_matrix, action_rank,
                                     alg_matrix, grp_matrix, is_lie,
                                     lie_space, sort_with_sign,
-                                    _signed_images)
+                                    _hook_equations, _signed_images)
 
 
 class TestWedgeBasis:
@@ -210,10 +214,102 @@ class TestKernelDim:
         assert action_rank(xs + [xs[0] + xs[1]]) == 2
         assert action_rank([GroupAlgebraElement.zero(3)]) == 0
 
+    def test_action_rank_matches_dense_matrices(self):
+        # the sparse integer rows against the flattened Fraction matrices
+        rng = random.Random(31)
+        for n in (2, 3, 4, 5):
+            perms = all_permutations(n)
+            xs = [GroupAlgebraElement(n, {
+                rng.choice(perms): Fraction(rng.randint(-9, 9),
+                                            rng.randint(1, 5))
+                for _ in range(3)}) for _ in range(2 * n)]
+            xs.append(xs[0] + xs[1].scale(Fraction(-2, 3)))
+            dense = ExactMatrix([[v for row in action_matrix(x).data
+                                  for v in row] for x in xs]).rank()
+            assert action_rank(xs) == dense
+
+    def test_action_rank_rejects_polynomial_coefficient(self):
+        x = GroupAlgebraElement(2, {Permutation.identity(2):
+                                    MultiPoly.variable("w")})
+        with pytest.raises(StructureError):
+            action_rank([x])
+
 
 class TestLieSpaceN6:
     def test_dim(self):
         assert lie_space(6).dim == 493
+
+    def test_basis_pinned(self):
+        basis = json.dumps([b.to_json() for b in lie_space(6).basis])
+        assert (hashlib.sha256(basis.encode()).hexdigest()
+                == "016516c43f486a5af791eed3d925834992d7e9246acad7defe7f292b"
+                   "16f6c4d0")
+
+
+# -- the hook equations against minors of the reflection matrix ------------
+
+
+def _det(rows):
+    """Leibniz expansion, for the small minors of the oracle."""
+    k = len(rows)
+    total = Fraction(0)
+    for p in permutations(range(k)):
+        inversions = sum(p[i] > p[j] for i, j in combinations(range(k), 2))
+        term = Fraction((-1) ** inversions)
+        for i in range(k):
+            term *= rows[i][p[i]]
+        total += term
+    return total
+
+
+def dense_hook_difference(A, k):
+    """The k-th compound of A minus its derivation extension, entry by
+    entry from minors: the compound's (I, J) entry is det A[I, J], and the
+    derivation's is the sum over positions p of the det of the identity
+    columns J on rows I with column p replaced by A's column J_p.  Rows
+    and columns run over the k-subsets in lexicographic order."""
+    subsets = list(combinations(range(len(A)), k))
+    out = {}
+    for col, J in enumerate(subsets):
+        for row, I in enumerate(subsets):
+            value = _det([[A[i][j] for j in J] for i in I])
+            for p in range(k):
+                value -= _det([[A[i][J[q]] if q == p else int(i == J[q])
+                                for q in range(k)] for i in I])
+            if value:
+                out[row, col] = value
+    return out
+
+
+class TestHookEquations:
+    def test_matches_compound_minus_derivation(self):
+        for n in range(3, 6):
+            for perm in all_permutations(n):
+                A = action_matrix(GroupAlgebraElement.from_permutation(perm),
+                                  "reflection").data
+                for k in range(2, n):
+                    got = {key: v for key, v in
+                           _hook_equations([(perm.images, 1)], n, k).items()
+                           if v}
+                    assert got == dense_hook_difference(A, k)
+
+    def test_every_insert_enlarges_the_span(self, monkeypatch):
+        # the equations are independent: C(2n-2, n-1) - (n-1)^2 rows, each
+        # one new, and dim Lie(V) = n! - C(2n-2, n-1) + (n-1)^2
+        inserts = []
+
+        class Recording(wedge_rep.Span):
+            def insert(self, row):
+                inserts.append(super().insert(row))
+                return inserts[-1]
+
+        monkeypatch.setattr(wedge_rep, "Span", Recording)
+        for n in range(2, 7):
+            inserts.clear()
+            space = wedge_rep._lie_space.__wrapped__(n)
+            rank = comb(2 * n - 2, n - 1) - (n - 1) ** 2
+            assert inserts == [True] * rank
+            assert space.dim == factorial(n) - rank
 
 
 # -- the dense Fraction path, kept as an oracle for the integer kernel -----
