@@ -10,9 +10,10 @@ square of the signed sum over 3-trees.
 
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 from lie_elements.graphs import (delta_sign, enumerate_three_trees,
-                                 enumerate_trees, tree_weight)
+                                 enumerate_trees)
 from lie_elements.verify import verify_mtt, verify_pft
 
 
@@ -24,8 +25,9 @@ def main():
         weights[pair] = Fraction(value, 3)
         value += 1
 
+    # a tree's edges are ascending pairs, the keys of the weight table
     trees = list(enumerate_trees(n))
-    total = sum(tree_weight(t, weights) for t in trees)
+    total = sum(prod(weights[e] for e in t.edges) for t in trees)
     print("n = %d: %d labeled trees, weighted sum %s" % (n, len(trees),
                                                          total))
     report = verify_mtt(n, weights=weights)

@@ -34,6 +34,15 @@ class WeightConflictError(InputError):
     """Two entries of a weight file disagree after symmetry closure."""
 
 
+def _parse_json(text, where):
+    """json.loads(text), with JSON nested deeper than the parser can recurse
+    an InputError, not a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise InputError("%s: JSON nested too deeply" % where) from None
+
+
 def _rational(value, where):
     """rational(value), or InputError; a bool is an int, but no rational."""
     if not isinstance(value, bool):
@@ -77,7 +86,7 @@ def load_weights(path: str, n: Optional[int] = None):
     given.
     """
     with open(path) as handle:
-        raw = json.load(handle)
+        raw = _parse_json(handle.read(), "weights")
     if not isinstance(raw, dict):
         raise InputError("weights: %s does not hold a JSON object" % path)
     tables = {}
@@ -191,7 +200,7 @@ def _run_conjectures(args) -> int:
 
 def _read_matrix(text, flag) -> ExactMatrix:
     """A square matrix of rationals from a JSON array of rows."""
-    data = json.loads(text)
+    data = _parse_json(text, flag)
     if not isinstance(data, list) or not all(isinstance(row, list)
                                              for row in data):
         raise InputError("%s: expected a JSON array of rows" % flag)
@@ -208,7 +217,7 @@ def _read_matrix(text, flag) -> ExactMatrix:
 
 def _run_sdet(args) -> int:
     if args.target == "coeff-graph":
-        edges = json.loads(args.edges)
+        edges = _parse_json(args.edges, "--edges")
         if not isinstance(edges, list) or not all(
                 isinstance(e, list) and len(e) == 2
                 and all(type(v) is int for v in e) for e in edges):
@@ -378,7 +387,8 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         sys.stderr.write("resource bound exceeded: %s\n" % exc)
         return 3
-    except (InputError, json.JSONDecodeError, OSError) as exc:
+    except (InputError, json.JSONDecodeError, UnicodeDecodeError,
+            OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

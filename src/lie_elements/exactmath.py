@@ -15,10 +15,6 @@ from operator import mul
 from typing import Iterable, Union
 
 
-# The scalar field.  Python's Fraction already keeps values reduced with a
-# positive denominator, which is exactly the contract we need.
-Rational = Fraction
-
 Scalar = Union[int, Fraction, "MultiPoly"]
 
 
@@ -179,20 +175,6 @@ class MultiPoly:
         key = tuple(sorted((v, e) for v, e in monomial.items() if e))
         return self.terms.get(key, Fraction(0))
 
-    def substitute(self, values: dict):
-        """Evaluate some variables at Fraction values; returns MultiPoly."""
-        result = MultiPoly()
-        for mono, coeff in self.terms.items():
-            factor = coeff
-            rest = []
-            for v, e in mono:
-                if v in values:
-                    factor *= rational(values[v]) ** e
-                else:
-                    rest.append((v, e))
-            result = result + MultiPoly({tuple(rest): factor})
-        return result
-
     # -- comparisons / misc ---------------------------------------------
 
     def __eq__(self, other):
@@ -313,10 +295,6 @@ class ExactMatrix:
     def identity(cls, n: int) -> "ExactMatrix":
         return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
@@ -378,10 +356,6 @@ class ExactMatrix:
         return "ExactMatrix(%r)" % (
             [[str(v) for v in row] for row in self.data],)
 
-    def submatrix(self, row_idx, col_idx) -> "ExactMatrix":
-        return ExactMatrix([[self.data[i][j] for j in col_idx]
-                            for i in row_idx])
-
     # -- linear algebra kernels ------------------------------------------
 
     def det(self):
@@ -408,14 +382,6 @@ class ExactMatrix:
         if not self._is_rational():
             raise StructureError("rank needs rational entries")
         return len(Span(dict(enumerate(row)) for row in self.data))
-
-    def trace(self):
-        if not self.is_square():
-            raise DimensionError("trace of a non-square matrix")
-        acc = Fraction(0)
-        for i in range(self.rows):
-            acc = acc + self.data[i][i]
-        return acc
 
     def charpoly(self):
         """Coefficients c_0..c_n of det(tI - M), monic (c_n = 1), by the

@@ -120,18 +120,10 @@ def _pair_weight(weights, i: int, j: int):
     return sum(found[1:], found[0])
 
 
-def tree_weight(tree: LabeledTree, weights):
-    """Product of edge weights; the table is read symmetrically."""
-    total = Fraction(1)
-    for i, j in tree.edges:
-        total = total * _pair_weight(weights, i, j)
-    return total
-
-
 def spanning_tree_sum(n: int, weights):
     """Sum over all spanning trees of K_n of the product of edge weights.
 
-    The table is read symmetrically, as tree_weight reads it.  The sum is
+    The table is read symmetrically, as _pair_weight reads it.  The sum is
     built up over vertex subsets S, in increasing order as bitmasks: f(S)
     is the weight of the trees on S, 1 on a single vertex.  Otherwise let a
     be the least vertex of S and c the least of the others; removing a
@@ -209,41 +201,6 @@ class ThreeGraph:
 
     def vertices(self):
         return sorted({v for t in self.triangles for v in t})
-
-
-def is_three_tree(graph: ThreeGraph) -> bool:
-    """True iff the triangle complex is contractible.
-
-    For complexes of triangles glued only at vertices this is equivalent to:
-    connected, exactly 2m+1 vertices covering 1..n, and iterated leaf
-    pruning (remove a triangle two of whose vertices lie in no other
-    triangle) ending in a single triangle.
-    """
-    m = graph.m
-    if m == 0:
-        return False
-    verts = graph.vertices()
-    if graph.n != 2 * m + 1 or verts != list(range(1, graph.n + 1)):
-        return False
-    uf = _UnionFind(verts)
-    for i, j, k in graph.triangles:
-        uf.union(i, j)
-        uf.union(i, k)
-    if len({uf.find(v) for v in verts}) != 1:
-        return False
-    remaining = list(graph.triangles)
-    while len(remaining) > 1:
-        count = {}
-        for t in remaining:
-            for v in t:
-                count[v] = count.get(v, 0) + 1
-        for idx, t in enumerate(remaining):
-            if sum(1 for v in t if count[v] == 1) >= 2:
-                del remaining[idx]
-                break
-        else:
-            return False
-    return True
 
 
 def enumerate_three_trees(m: int, bound=WORK_BOUND

@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from types import MappingProxyType
 
-from .exactmath import _as_coeff, _render_terms, rational
+from .exactmath import _as_coeff, _render_terms
 from .perm import DegreeMismatchError, Permutation
 
 
@@ -171,13 +171,3 @@ class GroupAlgebraElement:
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "terms": self.to_json_obj()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "GroupAlgebraElement":
-        obj = json.loads(text)
-        n = obj["n"]
-        terms = {}
-        for item in obj["terms"]:
-            perm = Permutation.from_cycles(n, item["cycles"])
-            terms[perm] = rational(item["coefficient"])
-        return cls(n, terms)

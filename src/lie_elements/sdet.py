@@ -8,15 +8,14 @@ graph.
 
 Attaching a pair of difference-vector rows to every 4-tuple of labels turns
 sums of shuffle determinants over column subsets into coefficients of a
-characteristic polynomial; phi and the mu-table machinery below implement
-that correspondence.  mu_table(n, r) builds every table by one
-prefix-wedge search; integer Gram determinants are the reference.
+characteristic polynomial; the mu-table machinery below implements that
+correspondence.  mu_table(n, r) builds every table by one prefix-wedge
+search; integer Gram determinants are the reference.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -157,58 +156,6 @@ def monomial_coefficient(edges: Sequence[Tuple[int, int]]
         cycles.append(tuple(cycle))
     m = len(cycles)
     return MonomialCoefficient((-1) ** (n - m) * 2 ** m, m, cycles)
-
-
-# -- edge systems and the coefficient functional -------------------------
-
-
-@dataclass(frozen=True)
-class EdgeSystem:
-    """Ordered list of 4-tuples of distinct labels in 1..n (repeats allowed)."""
-
-    n: int
-    tuples: Tuple[Tuple[int, int, int, int], ...]
-
-    def __post_init__(self):
-        tuples = tuple(tuple(t) for t in self.tuples)
-        object.__setattr__(self, "tuples", tuples)
-        if not tuples:
-            raise StructureError("an edge system needs at least one tuple")
-        for t in tuples:
-            if len(t) != 4 or len(set(t)) != 4:
-                raise StructureError("tuple %r is not 4 distinct labels"
-                                     % (t,))
-            if not all(1 <= v <= self.n for v in t):
-                raise StructureError("tuple %r out of 1..%d" % (t, self.n))
-
-    @property
-    def r(self) -> int:
-        return len(self.tuples)
-
-
-def build_AB(system: EdgeSystem) -> Tuple[ExactMatrix, ExactMatrix]:
-    """r x n difference matrices: row s of A is e_i - e_j, of B is e_k - e_l."""
-    def difference(p, q):
-        return [(c == p) - (c == q) for c in range(1, system.n + 1)]
-
-    return (ExactMatrix([difference(i, j) for i, j, _, _ in system.tuples]),
-            ExactMatrix([difference(k, l) for _, _, k, l in system.tuples]))
-
-
-def _column_subset(M: ExactMatrix, cols) -> ExactMatrix:
-    return M.submatrix(range(M.shape[0]), [c - 1 for c in cols])
-
-
-def phi(system: EdgeSystem):
-    """The sum over r-subsets J of columns of sdet(A^J, B^J)."""
-    r, n = system.r, system.n
-    if r > n:
-        raise DimensionError("r=%d exceeds n=%d" % (r, n))
-    A, B = build_AB(system)
-    total = Fraction(0)
-    for J in combinations(range(1, n + 1), r):
-        total = total + sdet(_column_subset(A, J), _column_subset(B, J))
-    return total
 
 
 # -- fast integer tables for the characteristic-polynomial check ---------

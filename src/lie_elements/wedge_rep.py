@@ -20,7 +20,7 @@ from typing import Tuple
 from .exactmath import (WORK_BOUND, ExactMatrix, Span, StructureError,
                         _check_bound, _scaled_integers, rational)
 from .group_algebra import GroupAlgebraElement
-from .perm import all_permutations, inversion_sign
+from .perm import all_permutations
 
 
 class WedgeBasis:
@@ -44,17 +44,6 @@ class WedgeBasis:
 
 
 _basis = lru_cache(maxsize=None)(WedgeBasis)
-
-
-def sort_with_sign(seq):
-    """Sort indices, returning (tuple, sign) or None on a repeat.
-
-    The sign is the parity of the inversions, i.e. the sign the wedge
-    picks up when its factors are reordered."""
-    items = tuple(seq)
-    if len(set(items)) < len(items):
-        return None
-    return tuple(sorted(items)), inversion_sign(items)
 
 
 def _passed_sign(mask: int, a: int, b: int) -> int:

@@ -23,22 +23,13 @@ from lie_elements.verify import (conjecture_report, verify_iota, verify_main,
                                  verify_mtt, verify_pft)
 from lie_elements.wedge_rep import (action_matrix, alg_matrix, grp_matrix,
                                     is_lie, lie_space)
+from oracles import rand_matrix, random_element
 
 
 def _announce(number, name, ok):
     print("criterion %02d (%s): %s" % (number, name,
                                        "PASS" if ok else "FAIL"))
     assert ok
-
-
-def _random_element(n, rng, terms=6):
-    perms = all_permutations(n)
-    x = GroupAlgebraElement.zero(n)
-    for _ in range(terms):
-        x = x + GroupAlgebraElement.from_permutation(
-            rng.choice(perms),
-            Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
-    return x
 
 
 def test_criterion_01_lie_membership():
@@ -124,16 +115,11 @@ def test_criterion_06_main_theorem():
 
 def test_criterion_07_sdet_identities():
     rng = random.Random(77)
-
-    def rand(n):
-        return ExactMatrix([[Fraction(rng.randint(-9, 9)) for _ in range(n)]
-                            for _ in range(n)])
-
     ok = True
     count = 0
     while count < 21:
         n = rng.randint(1, 4)
-        A, B, C = rand(n), rand(n), rand(n)
+        A, B, C = (rand_matrix(n, rng, 9) for _ in range(3))
         value = sdet(A, B)
         ok = ok and value == sdet(B, A)
         ok = ok and sdet(A @ C, B @ C) == value * C.det() ** 2
@@ -167,8 +153,8 @@ def test_criterion_08_homomorphism_equivariance():
         rng = random.Random(800 + n)
         perms = all_permutations(n)
         for _ in range(3):
-            x = _random_element(n, rng)
-            y = _random_element(n, rng)
+            x = random_element(n, rng, 6)
+            y = random_element(n, rng, 6)
             sigma = rng.choice(perms)
             s = GroupAlgebraElement.from_permutation(sigma)
             for m in range(n + 1):

@@ -302,6 +302,9 @@ def assert_input_error(capsys, *argv):
     return err
 
 
+NESTED = "[" * 5000
+
+
 class TestBadInput:
     """Malformed input exits 2 with one line on stderr, never with a
     traceback and exit 1 (which means a verification failed)."""
@@ -394,6 +397,26 @@ class TestBadInput:
         path.write_text(json.dumps(raw))
         self.assert_input_error(capsys, "verify", "mtt", "--n", "3",
                                 "--weights", str(path))
+
+    @pytest.mark.parametrize("argv, name, content", [
+        # a file that is not UTF-8
+        (["verify", "mtt", "--n", "3", "--weights", "{dir}/w.json"],
+         "w.json", b"\xff"),
+        (["conjectures", "--n", "2", "--out-dir", "{dir}"],
+         "generation-conjectures-n2.json", b"\xff"),
+        # JSON nested deeper than the parser can recurse
+        (["verify", "mtt", "--n", "3", "--weights", "{dir}/w.json"],
+         "w.json", NESTED.encode()),
+        (["sdet", "eval", "--matrix-a", NESTED, "--matrix-b", "[[1]]"],
+         None, None),
+        (["sdet", "coeff-graph", "--edges", NESTED], None, None),
+    ], ids=["weights-bytes", "golden-bytes", "weights-nested",
+            "matrix-nested", "edges-nested"])
+    def test_undecodable_json(self, tmp_path, capsys, argv, name, content):
+        if name:
+            (tmp_path / name).write_bytes(content)
+        self.assert_input_error(capsys, *(a.replace("{dir}", str(tmp_path))
+                                          for a in argv))
 
     def test_weight_row_arity_raises_input_error(self, tmp_path):
         from lie_elements.cli import InputError

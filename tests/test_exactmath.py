@@ -14,11 +14,7 @@ from lie_elements.exactmath import (DimensionError, ExactMatrix, MultiPoly,
                                     _eliminate, _expansion_det,
                                     _grlex_rank, _integer_row,
                                     _scaled_integers, rational)
-
-
-def rand_matrix(n, rng, lo=-9, hi=9):
-    return ExactMatrix([[Fraction(rng.randint(lo, hi)) for _ in range(n)]
-                        for _ in range(n)])
+from oracles import rand_matrix, substitute, trace
 
 
 class TestRational:
@@ -79,7 +75,7 @@ class TestMultiPoly:
         x = MultiPoly.variable("x")
         y = MultiPoly.variable("y")
         p = x * x + y
-        assert p.substitute({"x": 2, "y": 3}) == 7
+        assert substitute(p, {"x": 2, "y": 3}) == 7
 
 
 class TestExactMatrix:
@@ -91,7 +87,7 @@ class TestExactMatrix:
         rng = random.Random(5)
         from itertools import permutations
         for n in (2, 3, 4):
-            m = rand_matrix(n, rng)
+            m = rand_matrix(n, rng, 9)
             brute = Fraction(0)
             for perm in permutations(range(n)):
                 sign = 1
@@ -121,7 +117,7 @@ class TestExactMatrix:
                             for j in range(n)] for i in range(n)])
         num = ExactMatrix([[vals["v%d%d" % (i, j)] for j in range(n)]
                            for i in range(n)])
-        evaluated = sym.det().substitute(vals)
+        evaluated = substitute(sym.det(), vals)
         assert evaluated == num.det()
 
     def test_charpoly_diagonal(self):
@@ -132,10 +128,10 @@ class TestExactMatrix:
     def test_charpoly_trace_det(self):
         rng = random.Random(17)
         for n in (2, 3, 4):
-            m = rand_matrix(n, rng)
+            m = rand_matrix(n, rng, 9)
             cp = m.charpoly()
             assert cp[n] == 1
-            assert cp[n - 1] == -m.trace()
+            assert cp[n - 1] == -trace(m)
             assert cp[0] == (-1) ** n * m.det()
 
     def test_rank_nullspace(self):
@@ -186,7 +182,7 @@ class TestExactMatrix:
 
     def test_matmul_identity(self):
         rng = random.Random(2)
-        m = rand_matrix(3, rng)
+        m = rand_matrix(3, rng, 9)
         assert m @ ExactMatrix.identity(3) == m
 
 
@@ -526,7 +522,7 @@ class TestDetKernel:
 
 
 def _poly_value(p, point):
-    return p.substitute(point).constant_value()
+    return substitute(p, point).constant_value()
 
 
 square_matrices = st.integers(1, 5).flatmap(
@@ -607,7 +603,7 @@ def fraction_charpoly(m):
     coeffs[n] = Fraction(1)
     mk = ExactMatrix([row[:] for row in m.data])
     for k in range(1, n + 1):
-        ck = -mk.trace() / k
+        ck = -trace(mk) / k
         coeffs[n - k] = ck
         if k < n:
             for i in range(n):
@@ -637,4 +633,4 @@ class TestCharpolyOracle:
                          [Fraction(-1, 6), Fraction(5, 4)]])
         cp = m.charpoly()
         assert cp == fraction_charpoly(m)
-        assert cp == [m.det(), -m.trace(), Fraction(1)]
+        assert cp == [m.det(), -trace(m), Fraction(1)]

@@ -13,10 +13,9 @@ from lie_elements.perm import Permutation
 from lie_elements.graphs import (FourGraph, LabeledTree, NotAThreeTreeError,
                                  ThreeGraph, _signed_three_trees, delta_sign,
                                  enumerate_four_graphs, enumerate_three_trees,
-                                 enumerate_trees, is_three_tree,
-                                 prufer_decode,
-                                 spanning_tree_sum, three_tree_sum,
-                                 tree_weight)
+                                 enumerate_trees, prufer_decode,
+                                 spanning_tree_sum, three_tree_sum)
+from oracles import is_three_tree, tree_weight
 
 
 class TestTrees:

@@ -12,17 +12,11 @@ from lie_elements.exactmath import (DimensionError, ExactMatrix, MultiPoly,
                                     ResourceLimitError, StructureError,
                                     _bareiss_det)
 from lie_elements.perm import Permutation
-from lie_elements.sdet import (EdgeSystem, _gram_c_value,
-                               _pair_product, build_AB, instances,
+from lie_elements.sdet import (_gram_c_value, _pair_product, instances,
                                monomial_coefficient, mu_from_weights,
-                               mu_table, phi, sdet,
-                               sdet_identity_formula, sdet_via_coeff,
-                               shuffle)
-
-
-def rand_matrix(n, rng):
-    return ExactMatrix([[Fraction(rng.randint(-6, 6)) for _ in range(n)]
-                        for _ in range(n)])
+                               mu_table, sdet, sdet_identity_formula,
+                               sdet_via_coeff, shuffle)
+from oracles import EdgeSystem, build_AB, phi, rand_matrix
 
 
 def symbolic_matrix(letter, n):
@@ -33,7 +27,7 @@ def symbolic_matrix(letter, n):
 class TestShuffle:
     def test_extremes(self):
         rng = random.Random(1)
-        A, B = rand_matrix(3, rng), rand_matrix(3, rng)
+        A, B = rand_matrix(3, rng, 6), rand_matrix(3, rng, 6)
         assert shuffle(A, B, ()) == B
         assert shuffle(A, B, (1, 2, 3)) == A
 
@@ -62,27 +56,27 @@ class TestSdetIdentities:
         rng = random.Random(2)
         for n in (2, 3, 4):
             for _ in range(5):
-                A, B = rand_matrix(n, rng), rand_matrix(n, rng)
+                A, B = rand_matrix(n, rng, 6), rand_matrix(n, rng, 6)
                 assert sdet(A, B) == sdet(B, A)
 
     def test_coefficient_form_random(self):
         rng = random.Random(3)
         for n in (1, 2, 3, 4):
             for _ in range(5):
-                A, B = rand_matrix(n, rng), rand_matrix(n, rng)
+                A, B = rand_matrix(n, rng, 6), rand_matrix(n, rng, 6)
                 assert sdet(A, B) == sdet_via_coeff(A, B)
 
     def test_multiplication_random(self):
         rng = random.Random(4)
         for n in (2, 3, 4):
             for _ in range(5):
-                A, B, C = (rand_matrix(n, rng) for _ in range(3))
+                A, B, C = (rand_matrix(n, rng, 6) for _ in range(3))
                 assert sdet(A @ C, B @ C) == sdet(A, B) * C.det() ** 2
 
     def test_bihomogeneous(self):
         rng = random.Random(5)
         for n in (2, 3):
-            A, B = rand_matrix(n, rng), rand_matrix(n, rng)
+            A, B = rand_matrix(n, rng, 6), rand_matrix(n, rng, 6)
             lam, mu = Fraction(3), Fraction(-5, 2)
             assert (sdet(A.scale(lam), B.scale(mu))
                     == lam ** n * mu ** n * sdet(A, B))
@@ -90,20 +84,20 @@ class TestSdetIdentities:
     def test_coefficient_form_past_five(self):
         rng = random.Random(13)
         for n in (6, 7):
-            A, B = rand_matrix(n, rng), rand_matrix(n, rng)
+            A, B = rand_matrix(n, rng, 6), rand_matrix(n, rng, 6)
             assert sdet_via_coeff(A, B) == sdet(A, B)
 
     def test_identity_formula_random(self):
         rng = random.Random(6)
         for n in (1, 2, 3, 4):
-            A = rand_matrix(n, rng)
+            A = rand_matrix(n, rng, 6)
             assert sdet_identity_formula(A) == sdet(A, ExactMatrix.identity(n))
 
     def test_zero_A(self):
         rng = random.Random(7)
         for n in (2, 3):
-            B = rand_matrix(n, rng)
-            assert sdet(ExactMatrix.zero(n, n), B) == 0
+            B = rand_matrix(n, rng, 6)
+            assert sdet(ExactMatrix([[0] * n for _ in range(n)]), B) == 0
 
     def test_resource_bound(self):
         big = ExactMatrix.identity(11)
@@ -215,7 +209,7 @@ class TestPhi:
 
     def test_phi_top_summands_equal(self):
         # the n column subsets of size n-1 all give the same value
-        from lie_elements.sdet import _column_subset
+        from oracles import _column_subset
         rng = random.Random(9)
         for n in (4, 5):
             tuples = tuple(tuple(rng.sample(range(1, n + 1), 4))

@@ -17,8 +17,9 @@ from lie_elements.verify import conjecture_report, verify_iota
 from lie_elements import wedge_rep
 from lie_elements.wedge_rep import (WedgeBasis, action_matrix, action_rank,
                                     alg_matrix, grp_matrix, is_lie,
-                                    lie_space, sort_with_sign,
-                                    _hook_equations, _signed_images)
+                                    lie_space, _hook_equations,
+                                    _signed_images)
+from oracles import sort_with_sign
 
 
 class TestWedgeBasis:
