@@ -24,23 +24,11 @@ from . import graphs, sdet as sdet_mod, verify as verify_mod, wedge_rep
 from .exactmath import WORK_BOUND, DimensionError, ExactMatrix, \
     ResourceLimitError, StructureError, _check_bound, rational
 from .lie_generators import all_kappas, lie_closure
-
-
-class InputError(ValueError):
-    """A command-line value or an input file is malformed (exit code 2)."""
+from .verify import InputError, _parse_json
 
 
 class WeightConflictError(InputError):
     """Two entries of a weight file disagree after symmetry closure."""
-
-
-def _parse_json(text, where):
-    """json.loads(text), with JSON nested deeper than the parser can recurse
-    an InputError, not a RecursionError."""
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise InputError("%s: JSON nested too deeply" % where) from None
 
 
 def _rational(value, where):
@@ -166,9 +154,10 @@ def _run_verify(args) -> int:
                             else verify_mod.verify_pft)
                 reports.append(verifier(n, weights=weights, seed=seed,
                                         symbolic=args.symbolic))
+    # rank2 reports carry full matrices; keep the output light
+    cut = 200 if target == "rank2" else None
     for r in reports:
-        # rank2 reports carry full matrices; keep the output light
-        r.lhs, r.rhs = str(r.lhs)[:200], str(r.rhs)[:200]
+        r.lhs, r.rhs = str(r.lhs)[:cut], str(r.rhs)[:cut]
     _emit([r.to_json_obj() for r in reports], args.format, args.out)
     return 0 if all(r.status != "FAIL" for r in reports) else 1
 

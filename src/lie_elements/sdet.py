@@ -22,9 +22,9 @@ from itertools import combinations, combinations_with_replacement
 from math import comb, factorial
 from typing import List, Sequence, Tuple
 
-from .exactmath import (WORK_BOUND, DimensionError, ExactMatrix,
-                        MultiPoly, StructureError, _bareiss_det,
-                        _check_bound, _scaled_integers, _wedge, rational)
+from .exactmath import (WORK_BOUND, DimensionError, ExactMatrix, MultiPoly,
+                        StructureError, _bareiss_det, _check_bound, _poly,
+                        _scaled_integers, _wedge, rational)
 from .perm import all_permutations
 
 
@@ -75,7 +75,7 @@ def sdet_via_coeff(A: ExactMatrix, B: ExactMatrix):
     xs = [MultiPoly.variable("x%d" % (i + 1)) for i in range(n)]
     data = [[MultiPoly.constant(A.data[i][j]) + MultiPoly.constant(
         B.data[i][j]) * xs[i] for j in range(n)] for i in range(n)]
-    poly = ExactMatrix(data).det()
+    poly = _poly(ExactMatrix(data).det())   # a 0 x 0 det is Fraction(1)
     square = poly * poly
     monomial = {("x%d" % (j + 1)): 1 for j in range(n)}
     return square.coeff_at(monomial)
@@ -284,10 +284,9 @@ def _gram_table(n: int, r: int) -> Tuple:
 def _extension_signs(cols: int) -> Tuple:
     """For every mask below 2^cols, the triples (x, J, sign) with
     e_mask ^ e_x = sign e_J, over the columns x < cols outside mask."""
-    # e_x moves left past the columns of mask above x
-    return tuple(tuple((x, mask | 1 << x, -1 if (mask >> x).bit_count() & 1
-                        else 1)
-                       for x in range(cols) if not mask >> x & 1)
+    every = dict.fromkeys(range(cols), 1)
+    return tuple(tuple(((J ^ mask).bit_length() - 1, J, sign)
+                       for J, sign in _wedge({mask: 1}, every).items())
                  for mask in range(1 << cols))
 
 

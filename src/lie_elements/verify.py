@@ -42,6 +42,19 @@ from .sdet import _gram_table, _multisets, _table_sum, instances, \
 from .wedge_rep import action_matrix, action_rank, is_lie, lie_space
 
 
+class InputError(ValueError):
+    """A command-line value or an input file is malformed (exit code 2)."""
+
+
+def _parse_json(text, where):
+    """json.loads(text), with JSON nested deeper than the parser can recurse
+    an InputError, not a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise InputError("%s: JSON nested too deeply" % where) from None
+
+
 @dataclass
 class VerificationReport:
     theorem: str
@@ -163,6 +176,8 @@ def verify_mtt(n: int, weights: Optional[Dict] = None,
     n times the spanning-tree weight sum.  The tree side runs first, so its
     resource bound stops a large n before the C(n, 2) kappas are built."""
     t0 = time.perf_counter()
+    if weights is None and not symbolic:
+        seed = seed or 0    # an unseeded draw is the seed-0 draw
     pairs = combinations(range(1, n + 1), 2)
     weights = (pair_weights(n, seed=seed, symbolic=symbolic)
                if weights is None else _complete(weights, pairs))
@@ -210,6 +225,8 @@ def verify_pft(n: int, weights: Optional[Dict] = None,
     if symbolic and n % 2 == 0:
         _check_bound(math.comb(math.comb(n, 3) + n - 2, n - 1), WORK_BOUND,
                      "symbolic even-n Pfaffian monomials")
+    if weights is None and not symbolic:
+        seed = seed or 0    # an unseeded draw is the seed-0 draw
     triples = combinations(range(1, n + 1), 3)
     weights = (triple_weights(n, seed=seed, symbolic=symbolic)
                if weights is None else _complete(weights, triples))
@@ -284,6 +301,8 @@ def verify_main(n: int, weights: Optional[Dict] = None,
     t0 = time.perf_counter()
     _check_bound(_multisets(n, n - 1), WORK_BOUND, "mu_table multisets")
     etas = _generators(n, "eta")
+    if weights is None:
+        seed = seed or 0    # an unseeded draw is the seed-0 draw
     weights = (quad_weights(n, seed=seed) if weights is None
                else _complete(weights, etas))
     z = _weighted_sum(n, ((w, etas[key]) for key, w in weights.items() if w))
@@ -314,6 +333,7 @@ def verify_iota(n: int, trials: int = 3, seed: Optional[int] = None
     """Random combinations of the degree-n Lie space basis stay Lie after
     the embedding into degree n+1."""
     t0 = time.perf_counter()
+    seed = seed or 0    # an unseeded draw is the seed-0 draw
     rng = random.Random(seed)
     space = lie_space(n)
     ok = True
@@ -381,7 +401,7 @@ def _check_golden(report: VerificationReport, results_dir: str):
                            report.n))
     if os.path.exists(path):
         with open(path) as handle:
-            golden = json.load(handle)
+            golden = _parse_json(handle.read(), path)
         if golden != report.details:
             report.status = "FAIL"
             report.rhs = json.dumps(golden, sort_keys=True)

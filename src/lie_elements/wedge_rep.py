@@ -18,7 +18,7 @@ from types import MappingProxyType
 from typing import Tuple
 
 from .exactmath import (WORK_BOUND, ExactMatrix, Span, StructureError,
-                        _check_bound, _scaled_integers, rational)
+                        _check_bound, _scaled_integers, _wedge, rational)
 from .group_algebra import GroupAlgebraElement
 from .perm import all_permutations
 
@@ -54,50 +54,34 @@ def _passed_sign(mask: int, a: int, b: int) -> int:
     return -1 if passed.bit_count() & 1 else 1
 
 
-def _signed_images(images, m: int):
-    """Both actions of the permutation g with this image tuple on Lambda^m:
-    for each basis subset S, (row, sign) of its multiplicative image and the
-    list of (row, sign) of its derivation images.  Replacing s by g(s) in S
-    passes over the entries of S between them, which gives the sign; a fixed
-    point lands on the diagonal, and a g(s) in S gives zero and is dropped."""
-    basis = _basis(len(images), m)
-    row_of = basis.index
-    out = []
-    for col, (subset, mask) in enumerate(zip(basis.subsets, basis.masks)):
-        seen = inversions = 0
-        derivs = []
-        for s in subset:
-            t = images[s - 1]
-            inversions += (seen >> t).bit_count()
-            seen |= 1 << t
-            if t == s:
-                derivs.append((col, 1))
-            elif not mask >> t & 1:
-                derivs.append((row_of[(mask ^ 1 << s) | 1 << t],
-                               _passed_sign(mask, s, t)))
-        out.append(((row_of[seen], -1 if inversions & 1 else 1), derivs))
-    return out
+def _wedge_matrix(x: GroupAlgebraElement, m: int, products) -> ExactMatrix:
+    """Matrix on Lambda^m(Q^n) of x = sum of c g, where g sends e_S to the
+    sum of the wedges of the factor tuples in products(images of g, S)."""
+    basis = _basis(x.n, m)
+    data = [[Fraction(0)] * len(basis) for _ in basis.subsets]
+    for perm, coeff in x.terms.items():
+        for col, subset in enumerate(basis.subsets):
+            for factors in products(perm.images, subset):
+                form = {0: 1}
+                for t in factors:
+                    form = _wedge(form, {t: 1})
+                for mask, sign in form.items():
+                    data[basis.index[mask]][col] += sign * coeff
+    return ExactMatrix(data)
 
 
 def grp_matrix(x: GroupAlgebraElement, m: int) -> ExactMatrix:
-    """Matrix of the multiplicative action of x on Lambda^m(Q^n)."""
-    size = len(_basis(x.n, m))
-    data = [[Fraction(0)] * size for _ in range(size)]
-    for perm, coeff in x.terms.items():
-        for col, ((row, sign), _) in enumerate(_signed_images(perm.images, m)):
-            data[row][col] = data[row][col] + sign * coeff
-    return ExactMatrix(data)
+    """Matrix of the multiplicative action of x on Lambda^m(Q^n): e_S goes
+    to the wedge of the images of its factors."""
+    return _wedge_matrix(x, m, lambda g, S: [[g[s - 1] for s in S]])
 
 
 def alg_matrix(x: GroupAlgebraElement, m: int) -> ExactMatrix:
-    """Matrix of the derivation (one-factor-at-a-time) action of x."""
-    size = len(_basis(x.n, m))
-    data = [[Fraction(0)] * size for _ in range(size)]
-    for perm, coeff in x.terms.items():
-        for col, (_, derivs) in enumerate(_signed_images(perm.images, m)):
-            for row, sign in derivs:
-                data[row][col] = data[row][col] + sign * coeff
-    return ExactMatrix(data)
+    """Matrix of the derivation (one-factor-at-a-time) action of x: e_S
+    goes to the sum, over its factors, of the wedge with that one factor
+    replaced by its image."""
+    return _wedge_matrix(x, m, lambda g, S: [
+        S[:i] + (g[s - 1],) + S[i + 1:] for i, s in enumerate(S)])
 
 
 def _hook_equations(terms, n: int, k: int):
@@ -112,6 +96,10 @@ def _hook_equations(terms, n: int, k: int):
     the term is one; otherwise it is the term of g(C) and the k terms with
     one factor replaced by -f_top.  A derivation replaces one factor s by
     f_g(s) - f_top: at most 2k terms, a factor equal to s on the diagonal.
+
+    The one wedge kernel besides exactmath._wedge, kept as it is hot: on
+    _wedge, is_lie on the 190 kappa/nu/eta elements of the identities
+    bench took 0.09-0.16 s, against 0.03-0.05 s (2-vCPU VM, CPython 3.11).
     """
     basis = _basis(n - 1, k)
     row_of = basis.index

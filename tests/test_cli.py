@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 import time
@@ -9,6 +10,7 @@ import pytest
 
 from lie_elements import cli, graphs, wedge_rep
 from lie_elements.cli import WeightConflictError, load_weights, main
+from lie_elements.verify import verify_mtt
 
 
 def run(capsys, *argv):
@@ -49,6 +51,28 @@ class TestVerifyCommand:
         assert code == 0
         [record] = json.loads(out)
         assert record["seed"] is None and record["status"] == "PASS"
+
+    def test_symbolic_sides_print_whole(self, capsys):
+        code, out = run(capsys, "verify", "mtt", "--n", "5", "--symbolic",
+                        "--format", "json")
+        assert code == 0
+        [record] = json.loads(out)
+        whole = str(verify_mtt(5, symbolic=True).lhs)
+        assert len(whole) > 200
+        assert record["lhs"] == record["rhs"] == whole
+
+    def test_rank2_output_unchanged(self, capsys):
+        # the rank2 reports are still cut at 200 characters, as before
+        code, out = run(capsys, "verify", "rank2", "--n", "4", "--format",
+                        "json")
+        assert code == 0
+        records = json.loads(out)
+        for record in records:
+            record["elapsed_ms"] = 0
+        digest = hashlib.sha256(
+            json.dumps(records, sort_keys=True).encode()).hexdigest()
+        assert digest == ("f4103b11f5cfb4199064a43502751a60"
+                          "291a31193818e04841af7028454238ec")
 
 
 class TestLieCommand:
@@ -93,6 +117,12 @@ class TestSdetCommand:
         _, out_sym = run(capsys, "sdet", "symbolic", "--matrix-a", a,
                          "--matrix-b", b)
         assert out_eval == out_sym
+
+    @pytest.mark.parametrize("target", ["eval", "symbolic"])
+    def test_empty_pair(self, capsys, target):
+        code, out = run(capsys, "sdet", target, "--matrix-a", "[]",
+                        "--matrix-b", "[]")
+        assert code == 0 and out.strip() == "sdet=1"
 
     def test_coeff_graph(self, capsys):
         code, out = run(capsys, "sdet", "coeff-graph", "--edges",
@@ -410,8 +440,10 @@ class TestBadInput:
         (["sdet", "eval", "--matrix-a", NESTED, "--matrix-b", "[[1]]"],
          None, None),
         (["sdet", "coeff-graph", "--edges", NESTED], None, None),
+        (["conjectures", "--n", "2", "--out-dir", "{dir}"],
+         "generation-conjectures-n2.json", NESTED.encode()),
     ], ids=["weights-bytes", "golden-bytes", "weights-nested",
-            "matrix-nested", "edges-nested"])
+            "matrix-nested", "edges-nested", "golden-nested"])
     def test_undecodable_json(self, tmp_path, capsys, argv, name, content):
         if name:
             (tmp_path / name).write_bytes(content)

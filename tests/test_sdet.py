@@ -99,6 +99,11 @@ class TestSdetIdentities:
             B = rand_matrix(n, rng, 6)
             assert sdet(ExactMatrix([[0] * n for _ in range(n)]), B) == 0
 
+    def test_empty_pair(self):
+        # a 0 x 0 det is Fraction(1), which the coefficient form must lift
+        E = ExactMatrix([])
+        assert sdet_via_coeff(E, E) == sdet(E, E) == 1
+
     def test_resource_bound(self):
         big = ExactMatrix.identity(11)
         with pytest.raises(ResourceLimitError):

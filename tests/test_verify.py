@@ -37,6 +37,19 @@ class TestReports:
         b = verify_mtt(4, seed=9)
         assert (a.lhs, a.rhs, a.status) == (b.lhs, b.rhs, b.status)
 
+    @pytest.mark.parametrize("verifier", [verify_mtt, verify_pft,
+                                          verify_main, verify_iota])
+    def test_unseeded_draw_is_seed_zero(self, verifier):
+        # a random draw with no seed repeats, and reports seed 0
+        def obj(**kwargs):
+            report = verifier(4, **kwargs).to_json_obj()
+            report["elapsed_ms"] = 0
+            return report
+
+        first = obj()
+        assert first["seed"] == 0
+        assert obj() == first == obj(seed=0)
+
 
 class TestWeightTables:
     def test_seeded_tables_draw_in_key_order(self):

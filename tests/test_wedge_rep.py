@@ -17,8 +17,7 @@ from lie_elements.verify import conjecture_report, verify_iota
 from lie_elements import wedge_rep
 from lie_elements.wedge_rep import (WedgeBasis, action_matrix, action_rank,
                                     alg_matrix, grp_matrix, is_lie,
-                                    lie_space, _hook_equations,
-                                    _signed_images)
+                                    lie_space, _hook_equations)
 from oracles import sort_with_sign
 
 
@@ -366,24 +365,14 @@ def _divisors(d):
     return [k for k in range(1, d + 1) if d % k == 0]
 
 
-class TestSignedImages:
+class TestWedgeMatrices:
     def test_sums_match_dense_matrices(self):
-        # every permutation of degree <= 5 at every m: the helper's images,
-        # summed, are the dense multiplicative and derivation matrices
+        # every permutation of degree <= 5 at every m: the multiplicative
+        # and derivation matrices are the dense ones
         for n in range(1, 6):
             for perm in all_permutations(n):
                 x = GroupAlgebraElement.from_permutation(perm)
                 for m in range(n + 1):
-                    size = len(WedgeBasis(n, m))
-                    grp = [[0] * size for _ in range(size)]
-                    alg = [[0] * size for _ in range(size)]
-                    for col, ((row, sign), derivs) in enumerate(
-                            _signed_images(perm.images, m)):
-                        grp[row][col] += sign
-                        for r, s in derivs:
-                            alg[r][col] += s
-                    assert ExactMatrix(grp) == dense_grp_matrix(x, m)
-                    assert ExactMatrix(alg) == dense_alg_matrix(x, m)
                     assert grp_matrix(x, m) == dense_grp_matrix(x, m)
                     assert alg_matrix(x, m) == dense_alg_matrix(x, m)
 
