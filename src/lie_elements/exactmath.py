@@ -10,8 +10,11 @@ No floating point anywhere; every operation is exact over Q or Q[w, x, ...].
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import mul
+from operator import mul, or_
+from sys import byteorder
+from types import MappingProxyType
 from typing import Iterable, Union
 
 
@@ -22,9 +25,7 @@ def rational(value) -> Fraction:
     """Coerce an int, Fraction or string like '3/4' to a Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError("cannot build a rational from %r" % (value,))
 
@@ -44,77 +45,128 @@ def _as_coeff(value):
     return rational(value)
 
 
+def _coeff(value):
+    """A MultiPoly as it is, an integral rational as its int, else a
+    Fraction: a coefficient as MultiPoly and Q[S_n] store it."""
+    if type(value) is int or isinstance(value, MultiPoly):
+        return value
+    value = rational(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+# -- packed monomials -----------------------------------------------------
+#
+# One registry numbers the variable names in order of first use.  A monomial
+# is one int with a 16-bit exponent field per name (x_i^e is e << 16 i), so a
+# monomial product is one int addition.  An exponent stays below 2^15, so a
+# sum of two cannot carry, and the top bits (_HIGH) show one out of range.
+
+_NAMES, _INDEX = [], {}     # index -> name, name -> index
+_HIGH = 0                   # the top bit of every registered field
+_MAX_EXPONENT = (1 << 15) - 1
+
+
+def _check_fields(mono):
+    """Raise if a field of mono (or of an OR of monomials) reaches 2^15."""
+    if mono & _HIGH:
+        _check_bound(max(e for _, e in _decode(mono)), _MAX_EXPONENT,
+                     "monomial exponent")
+
+
+def _pack(pairs):
+    """The packed monomial of (name, exponent) pairs; new names register."""
+    global _HIGH
+    mono = 0
+    for name, e in pairs:
+        if e < 0:
+            raise ValueError("negative exponent %d of %s" % (e, name))
+        _check_bound(e, _MAX_EXPONENT, "monomial exponent")
+        if name not in _INDEX:
+            _INDEX[name] = len(_NAMES)
+            _HIGH |= 1 << (16 * len(_NAMES) + 15)
+            _NAMES.append(name)
+        mono += e << (16 * _INDEX[name])
+        _check_fields(mono)     # a name given twice
+    return mono
+
+
+def _decode(mono):
+    """The packed monomial as a sorted tuple of (name, exponent) pairs."""
+    fields = memoryview(mono.to_bytes(2 * len(_NAMES), byteorder))
+    return tuple(sorted(p for p in zip(_NAMES, fields.cast("H")) if p[1]))
+
+
 class MultiPoly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse polynomial over Q: {packed monomial: nonzero coefficient},
+    an int coefficient when integral on entry, else a Fraction.  `terms` is
+    the read-only view {sorted (name, exponent) tuple: coefficient}; str()
+    and pickling read it, so no output depends on the registry's order."""
 
-    A monomial is stored as a sorted tuple of (variable-name, exponent) pairs
-    with positive exponents; the constant monomial is the empty tuple.  Zero
-    coefficients are never stored.
-    """
-
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = rational(coeff)
-                if coeff:
-                    key = tuple(sorted((v, e) for v, e in mono if e))
-                    clean[key] = clean.get(key, Fraction(0)) + coeff
-                    if not clean[key]:
-                        del clean[key]
-        self.terms = clean
+        for mono, coeff in (terms or {}).items():
+            key = _pack(mono)
+            clean[key] = clean.get(key, 0) + _coeff(rational(coeff))
+        self._terms = {m: c for m, c in clean.items() if c}
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def constant(cls, value) -> "MultiPoly":
-        return cls({(): rational(value)})
+        value = _coeff(rational(value))
+        return cls._of({0: value} if value else {})
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
-        return cls({((name, 1),): Fraction(1)})
+        return cls._of({_pack([(name, 1)]): 1})
 
     @classmethod
     def _of(cls, terms) -> "MultiPoly":
-        """Unchecked: sorted monomials, nonzero Fraction coefficients."""
+        """Unchecked: packed monomials, nonzero coefficients."""
         out = cls.__new__(cls)
-        out.terms = terms
+        out._terms = terms
         return out
+
+    def __reduce__(self):
+        return MultiPoly, (dict(self.terms),)
+
+    @property
+    def terms(self):
+        return MappingProxyType({_decode(m): c
+                                 for m, c in self._terms.items()})
 
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
+        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
     def constant_value(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+        return rational(self._terms.get(0, 0))
 
     # -- scaling, as _scaled_integers reads a rational -------------------
 
     @property
     def denominator(self) -> int:
         """The lcm of the coefficients' denominators (1 for zero)."""
-        return lcm(*(c.denominator for c in self.terms.values()))
+        return lcm(*(c.denominator for c in self._terms.values()))
 
     @property
     def numerator(self) -> "MultiPoly":
-        """self * self.denominator: the polynomial with integer
-        coefficients."""
-        den = self.denominator
-        return self if den == 1 else self * den
+        """self * denominator: the polynomial with integer coefficients."""
+        return self * self.denominator
 
     # -- arithmetic ------------------------------------------------------
 
     def _combine(self, other, sign):
         other = _poly(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            new = terms.get(mono, Fraction(0)) + sign * coeff
+        terms = dict(self._terms)
+        for mono, coeff in other._terms.items():
+            new = terms.get(mono, 0) + sign * coeff
             if new:
                 terms[mono] = new
             else:
@@ -133,24 +185,27 @@ class MultiPoly:
         return _poly(other)._combine(self, -1)
 
     def __neg__(self):
-        return self._of({m: -c for m, c in self.terms.items()})
+        return self._of({m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = rational(other)
+            other = _coeff(other)
+            if other == 1:
+                return self
             if not other:
                 return MultiPoly()
-            return self._of({m: c * other for m, c in self.terms.items()})
+            return self._of({m: c * other for m, c in self._terms.items()})
         other = _poly(other)
         terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                new = terms.get(mono, Fraction(0)) + c1 * c2
+        for m1, c1 in self._terms.items():
+            for m2, c2 in other._terms.items():
+                mono = m1 + m2
+                new = terms.get(mono, 0) + c1 * c2
                 if new:
                     terms[mono] = new
                 else:
                     del terms[mono]
+        _check_fields(reduce(or_, terms, 0))
         return self._of(terms)
 
     __rmul__ = __mul__
@@ -158,22 +213,20 @@ class MultiPoly:
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.constant(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
+        result, base = MultiPoly.constant(1), self
+        while exponent:
+            if exponent & 1:
                 result = result * base
-            base = base * base
-            e >>= 1
+            exponent >>= 1
+            if exponent:    # no square past the last bit
+                base = base * base
         return result
 
     # -- queries ---------------------------------------------------------
 
     def coeff_at(self, monomial) -> Fraction:
         """Coefficient of exactly the given monomial ({var: exponent})."""
-        key = tuple(sorted((v, e) for v, e in monomial.items() if e))
-        return self.terms.get(key, Fraction(0))
+        return rational(self._terms.get(_pack(monomial.items()), 0))
 
     # -- comparisons / misc ---------------------------------------------
 
@@ -181,38 +234,32 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant_value() == other
         if isinstance(other, MultiPoly):
-            return self.terms == other.terms
+            return self._terms == other._terms
         return NotImplemented
 
     def __hash__(self):
         if self.is_constant():
             return hash(self.constant_value())
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._terms.items()))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __repr__(self):
         return "MultiPoly(%s)" % str(self)
 
     def __str__(self):
+        terms = self.terms
         return _render_terms(
-            (self.terms[mono],
+            (terms[mono],
              "*".join(v if e == 1 else "%s^%d" % (v, e) for v, e in mono))
-            for mono in sorted(self.terms, key=_grlex_rank))
+            for mono in sorted(terms, key=_grlex_rank))
 
 
 def _poly(value) -> MultiPoly:
     if isinstance(value, MultiPoly):
         return value
     return MultiPoly.constant(value)
-
-
-def _mono_mul(m1, m2):
-    merged = dict(m1)
-    for v, e in m2:
-        merged[v] = merged.get(v, 0) + e
-    return tuple(sorted(merged.items()))
 
 
 def _grlex_rank(mono):
@@ -247,10 +294,10 @@ def _render_terms(terms):
                                     body))
     if not parts:
         return "0"
-    out = parts[0]
+    out = [parts[0]]    # one join: a repeated += can copy the text each time
     for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+        out.append(" - " + p[1:] if p.startswith("-") else " + " + p)
+    return "".join(out)
 
 
 class DimensionError(ValueError):
@@ -428,18 +475,14 @@ class ExactMatrix:
             return Fraction(1)
         first = idx[0]
         rest = idx[1:]
-        acc = None
+        acc = Fraction(0)
         for t, j in enumerate(rest):
             entry = self.data[first][j]
             if entry == 0:
                 continue
             sub = rest[:t] + rest[t + 1:]
             term = entry * self._pf(sub)
-            if t % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return Fraction(0)
+            acc = acc - term if t % 2 else acc + term
         return acc
 
 

@@ -1,9 +1,9 @@
 """Sparse elements of the group algebra Q[S_n].
 
-An element is a finite linear combination of permutations; coefficients are
-Fractions or MultiPoly (for symbolic weights).  All values are immutable:
-`terms` is a read-only view, so an element shared through a cache cannot be
-changed by one of its callers.
+An element is a finite linear combination of permutations; a coefficient is
+an int when integral, a Fraction otherwise, or a MultiPoly (for symbolic
+weights).  All values are immutable: `terms` is a read-only view, so an
+element shared through a cache cannot be changed by one of its callers.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from types import MappingProxyType
 
-from .exactmath import _as_coeff, _render_terms
+from .exactmath import _as_coeff, _coeff, _render_terms
 from .perm import DegreeMismatchError, Permutation
 
 
@@ -34,7 +34,7 @@ class GroupAlgebraElement:
                 if perm.n != n:
                     raise DegreeMismatchError(
                         "permutation of degree %d in Q[S_%d]" % (perm.n, n))
-                coeff = _as_coeff(coeff)
+                coeff = _coeff(coeff)
                 if coeff:
                     clean[perm] = coeff
         self.terms = MappingProxyType(clean)
@@ -47,7 +47,7 @@ class GroupAlgebraElement:
 
     @classmethod
     def one(cls, n) -> "GroupAlgebraElement":
-        return cls(n, {Permutation.identity(n): Fraction(1)})
+        return cls(n, {Permutation.identity(n): 1})
 
     @classmethod
     def from_permutation(cls, perm, coeff=1) -> "GroupAlgebraElement":
@@ -75,7 +75,7 @@ class GroupAlgebraElement:
         self._check(other)
         terms = dict(self.terms)
         for perm, coeff in other.terms.items():
-            new = terms.get(perm, Fraction(0)) + coeff
+            new = terms.get(perm, 0) + coeff
             if new:
                 terms[perm] = new
             else:
@@ -89,7 +89,7 @@ class GroupAlgebraElement:
         return self._of(self.n, {p: -c for p, c in self.terms.items()})
 
     def scale(self, factor) -> "GroupAlgebraElement":
-        factor = _as_coeff(factor)
+        factor = _coeff(factor)
         if not factor:
             return GroupAlgebraElement.zero(self.n)
         return self._of(self.n, {p: c * factor for p, c in self.terms.items()})
@@ -103,7 +103,7 @@ class GroupAlgebraElement:
         for p1, c1 in self.terms.items():
             for p2, c2 in other.terms.items():
                 prod = p1.compose(p2)
-                new = terms.get(prod, Fraction(0)) + c1 * c2
+                new = terms.get(prod, 0) + c1 * c2
                 if new:
                     terms[prod] = new
                 else:
@@ -133,7 +133,8 @@ class GroupAlgebraElement:
         return sum(self.terms.values(), Fraction(0))
 
     def coeff(self, perm):
-        return self.terms.get(perm, Fraction(0))
+        """The coefficient of perm, a rational one as a Fraction."""
+        return _as_coeff(self.terms.get(perm, 0))
 
     def iota(self) -> "GroupAlgebraElement":
         """Embed into Q[S_{n+1}] fixing the new point n+1."""

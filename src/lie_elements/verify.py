@@ -88,12 +88,12 @@ def random_rational(rng: random.Random) -> Fraction:
 
 
 def _random_weights(keys, seed: Optional[int], symbolic: bool) -> Dict:
-    """A weight table on the keys, in their order: seeded random rationals,
-    or one variable w_<labels> per key when symbolic."""
+    """A weight table on the keys, in their order: seeded random rationals
+    (seed 0 if none), or one variable w_<labels> per key when symbolic."""
     if symbolic:
         return {key: MultiPoly.variable("w_" + "_".join(map(str, key)))
                 for key in keys}
-    rng = random.Random(seed)
+    rng = random.Random(seed or 0)     # an unseeded draw is the seed-0 draw
     return {key: random_rational(rng) for key in keys}
 
 

@@ -236,7 +236,7 @@ def action_rank(elements) -> int:
     row space is the same); rational coefficients only."""
     span = Span()
     for x in elements:
-        if not all(isinstance(c, Fraction) for c in x.terms.values()):
+        if not all(isinstance(c, (int, Fraction)) for c in x.terms.values()):
             raise StructureError("action_rank needs rational coefficients")
         ints, _ = _scaled_integers(list(x.terms.values()))
         row = {}

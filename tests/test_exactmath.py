@@ -1,4 +1,9 @@
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 from fractions import Fraction
 from functools import cmp_to_key
@@ -10,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lie_elements.exactmath import (DimensionError, ExactMatrix, MultiPoly,
-                                    Span, StructureError, _bareiss_det,
+                                    ResourceLimitError, Span,
+                                    StructureError, _bareiss_det,
                                     _eliminate, _expansion_det,
                                     _grlex_rank, _integer_row,
                                     _scaled_integers, rational)
@@ -76,6 +82,85 @@ class TestMultiPoly:
         y = MultiPoly.variable("y")
         p = x * x + y
         assert substitute(p, {"x": 2, "y": 3}) == 7
+
+
+class TestPackedMonomials:
+    def test_pow_squares_only_while_bits_remain(self):
+        x = MultiPoly.variable("x")
+        big = x ** 2 ** 14
+        assert big.terms == {(("x", 2 ** 14),): 1}
+        assert big.coeff_at({"x": 2 ** 14}) == 1
+        assert x ** 1 == x and x ** 0 == 1
+        with pytest.raises(ResourceLimitError):
+            x ** 2 ** 15
+
+    def test_carry_is_caught(self):
+        # x registers before y, so a carry out of x's field would land in
+        # y's; every product checks the top bit of each field
+        x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
+        top = x ** (2 ** 15 - 1)
+        assert (top * y).terms == {(("x", 2 ** 15 - 1), ("y", 1)): 1}
+        for a, b in ((top, x), (x ** 2 ** 14, x ** 2 ** 14),
+                     (top * y + 1, x - y)):
+            with pytest.raises(ResourceLimitError):
+                a * b
+
+    def test_pack_refuses_large_exponent(self):
+        for exponent in (2 ** 15, 2 ** 16 + 1):
+            with pytest.raises(ResourceLimitError):
+                MultiPoly({(("x", exponent),): 1})
+        with pytest.raises(ResourceLimitError):
+            MultiPoly({(("x", 2 ** 14), ("x", 2 ** 14)): 1})
+        with pytest.raises(ValueError):
+            MultiPoly({(("x", -1),): 1})
+
+    def test_terms_view_decodes_by_name(self):
+        # a late name that sorts first still prints and decodes first
+        late = MultiPoly.variable("zz_packed_first")
+        early = MultiPoly.variable("aa_packed_second")
+        p = late * early ** 2 + 3 * late
+        assert p.terms == {(("aa_packed_second", 2),
+                            ("zz_packed_first", 1)): 1,
+                           (("zz_packed_first", 1),): 3}
+        assert str(p) == "aa_packed_second^2*zz_packed_first + " \
+                         "3*zz_packed_first"
+        with pytest.raises(TypeError):
+            p.terms[()] = 1
+
+    def test_integral_coefficients_are_ints(self):
+        x = MultiPoly.variable("x")
+        p = MultiPoly({(("x", 1),): Fraction(4, 2), (): Fraction(1, 2)})
+        assert [type(c) for c in p.terms.values()] == [int, Fraction]
+        assert type(MultiPoly.constant(Fraction(6, 3)).terms[()]) is int
+        assert all(type(c) is int for c in ((x + 1) ** 5).terms.values())
+        assert p == 2 * x + Fraction(1, 2)
+        assert hash(MultiPoly.constant(Fraction(6, 3))) == hash(2)
+        # the accessors still return Fractions, so a division stays exact
+        assert type(p.coeff_at({"x": 1})) is Fraction
+        assert type(MultiPoly.constant(2).constant_value()) is Fraction
+
+    def test_pickle_by_names(self):
+        x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
+        p = x * y ** 2 + Fraction(1, 2)
+        assert copy.deepcopy(p) == p and str(copy.deepcopy(p)) == str(p)
+        # a fresh process that registers y before x
+        script = (
+            "import pickle, sys\n"
+            "from fractions import Fraction\n"
+            "from lie_elements.exactmath import MultiPoly\n"
+            "y, x = MultiPoly.variable('y'), MultiPoly.variable('x')\n"
+            "p = pickle.loads(sys.stdin.buffer.read())\n"
+            "fresh = x * y ** 2 + Fraction(1, 2)\n"
+            "print(p == fresh, hash(p) == hash(fresh), str(p) == str(fresh),"
+            " str(p))\n")
+        src = os.path.dirname(os.path.dirname(
+            sys.modules[MultiPoly.__module__].__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              input=pickle.dumps(p), capture_output=True,
+                              check=True)
+        assert done.stdout.decode().split() == \
+            ["True", "True", "True", "x*y^2", "+", "1/2"]
 
 
 class TestExactMatrix:

@@ -6,8 +6,10 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from lie_elements.exactmath import MultiPoly
 from lie_elements.group_algebra import GroupAlgebraElement, \
     UnsupportedUnitError
+from lie_elements.lie_generators import eta, kappa, nu
 from lie_elements.perm import DegreeMismatchError, Permutation, \
     all_permutations
 from oracles import element_from_json, random_element
@@ -34,6 +36,35 @@ class TestLinearStructure:
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatchError):
             GroupAlgebraElement.one(3) + GroupAlgebraElement.one(4)
+
+
+class TestIntCoefficients:
+    def test_generators_and_brackets_are_int(self):
+        k, n3 = kappa(3, 1, 2), nu(3, 1, 2, 3)
+        for x in (k, n3, eta(4, 1, 2, 3, 4), k.bracket(kappa(3, 1, 3)),
+                  n3 * n3 + k, GroupAlgebraElement.one(3)):
+            assert x.terms and all(type(c) is int for c in x.terms.values())
+
+    def test_integral_fraction_is_stored_as_int(self):
+        p = Permutation.from_cycles(3, [(1, 2)])
+        x = GroupAlgebraElement(3, {p: Fraction(4, 2)})
+        assert type(x.terms[p]) is int and x.terms[p] == 2
+        # as the element with a Fraction(2) coefficient
+        old = GroupAlgebraElement._of(3, {p: Fraction(2)})
+        assert x == old and hash(x) == hash(old) and str(x) == str(old)
+        assert x.to_json() == old.to_json()
+        half = x.scale(Fraction(1, 4))
+        assert type(half.terms[p]) is Fraction and half.terms[p] == \
+            Fraction(1, 2)
+
+    def test_coeff_stays_rational(self):
+        # coeff returns a Fraction, so coeff / coeff divides exactly
+        k = kappa(2, 1, 2)
+        e = Permutation.identity(2)
+        assert type(k.coeff(e)) is Fraction and k.coeff(e) / 2 == \
+            Fraction(1, 2)
+        w = MultiPoly.variable("w")
+        assert GroupAlgebraElement(2, {e: w}).coeff(e) == w
 
 
 class TestRingStructure:

@@ -67,6 +67,11 @@ class TestWeightTables:
             ((quad, variant), random_rational(rng))
             for quad in combinations(labels, 4) for variant in ("T1", "T2")]
 
+    @pytest.mark.parametrize("build", [pair_weights, triple_weights,
+                                       quad_weights])
+    def test_unseeded_table_is_seed_zero(self, build):
+        assert build(5) == build(5) == build(5, seed=0)
+
     def test_symbolic_tables_name_their_keys(self):
         assert pair_weights(3, symbolic=True)[(1, 3)] == \
             MultiPoly.variable("w_1_3")

@@ -228,6 +228,20 @@ class TestKernelDim:
                                   for v in row] for x in xs]).rank()
             assert action_rank(xs) == dense
 
+    def test_action_rank_int_coefficients(self):
+        # int coefficients give the rank of the same Fraction coefficients
+        rng = random.Random(5)
+        perms = all_permutations(4)
+        ints = {rng.choice(perms): rng.randint(-4, 4) for _ in range(6)}
+        x = GroupAlgebraElement(4, ints)
+        assert all(type(c) is int for c in x.terms.values())
+        old = GroupAlgebraElement._of(4, {p: Fraction(c)
+                                          for p, c in x.terms.items()})
+        xs = [x, kappa(4, 1, 2), kappa(4, 2, 3) + x]
+        assert action_rank(xs) == action_rank([old] + xs[1:]) == \
+            ExactMatrix([[v for row in action_matrix(y).data for v in row]
+                         for y in xs]).rank()
+
     def test_action_rank_rejects_polynomial_coefficient(self):
         x = GroupAlgebraElement(2, {Permutation.identity(2):
                                     MultiPoly.variable("w")})
